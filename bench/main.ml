@@ -509,11 +509,30 @@ let bench_replay_file = "BENCH_replay.json"
 (* One line per measured variant, in the same flat JSON the event stream
    uses, so the baseline is greppable and parseable by Events.parse_line
    without a JSON dependency. *)
+(* The machine a row was measured on: cores, compiler, source revision
+   ("-dirty" when the working tree differs from it). *)
+let git_revision () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let rev = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic);
+    rev
+
+let machine_fields =
+  lazy
+    [
+      ("nproc", Events.Int (Domain.recommended_domain_count ()));
+      ("ocaml_version", Events.Str Sys.ocaml_version);
+      ("git_rev", Events.Str (git_revision ()));
+    ]
+
 let bench_replay_line ~scheme ~variant ~jobs ~scale ~instances ~delays ~wall_s
     ~speedup =
   let buf = Buffer.create 256 in
   Events.emit (Events.of_buffer buf) ~kind:"bench_replay"
-    [
+    @@ Lazy.force machine_fields
+    @ [
       ("scheme", Events.Str scheme);
       ("variant", Events.Str variant);
       ("jobs", Events.Int jobs);
@@ -610,6 +629,38 @@ let kernel_bench ~smoke ~scale =
         (module Pp_k2_generic : Scheme.S) );
     ]
   in
+  (* The recording pushed through a [Session] as stream-sized batches:
+     the path mapped, streamed and served replay take, on the same
+     kernel as the in-memory run. *)
+  let session_run packed =
+    let sess =
+      match
+        Session.create ~lint:false packed ~delays
+          ~program:recorded.Recorder.program ~table:recorded.Recorder.table
+      with
+      | Ok s -> s
+      | Error e -> failwith e
+    in
+    let frame = Recorder.default_chunk_instances in
+    let batch = Batch.create ~capacity:frame () in
+    let lo = ref 0 in
+    while !lo < n do
+      let len = min frame (n - !lo) in
+      (* A typed copy loop: [Array.blit] would pay a write barrier per
+         int into the major-heap batch. *)
+      let ids = batch.Batch.ids and src = recorded.Recorder.instances in
+      for j = 0 to len - 1 do
+        Array.unsafe_set ids j (Array.unsafe_get src (!lo + j))
+      done;
+      Bytes.blit recorded.Recorder.arrivals !lo batch.Batch.arrs 0 len;
+      Batch.set_length batch len;
+      (match Session.push_batch sess batch with
+       | Ok () -> ()
+       | Error e -> failwith e);
+      lo := !lo + len
+    done;
+    Session.finish sess
+  in
   List.iter
     (fun (name, packed, generic) ->
        let reference = Replay.run_many generic ~delays recorded in
@@ -617,6 +668,9 @@ let kernel_bench ~smoke ~scale =
        check
          (Printf.sprintf "%s: kernel == packed loop" name)
          (List.for_all2 outcome_equal reference kernel);
+       check
+         (Printf.sprintf "%s: session batches == packed loop" name)
+         (List.for_all2 outcome_equal reference (session_run packed));
        List.iter
          (fun jobs ->
             let sharded = Replay.run_many ~jobs packed ~delays recorded in
@@ -679,6 +733,8 @@ let kernel_bench ~smoke ~scale =
          report ~scheme:name ~variant:"packed" ~jobs:1 ~packed_s packed_s;
          let kernel_s = time (fun () -> Replay.run_many packed ~delays recorded) in
          report ~scheme:name ~variant:"kernel" ~jobs:1 ~packed_s kernel_s;
+         let session_s = time (fun () -> session_run packed) in
+         report ~scheme:name ~variant:"session" ~jobs:1 ~packed_s session_s;
          (* Full scheme x jobs matrix: a scaling regression in any kernel
             must be visible in the baseline, not just net's. *)
          let sharded_s =
@@ -691,7 +747,7 @@ let kernel_bench ~smoke ~scale =
                 (jobs, t))
              [ 2; 4 ]
          in
-         (name, packed_s /. kernel_s, kernel_s, sharded_s))
+         (name, packed_s /. kernel_s, kernel_s, sharded_s, session_s))
       schemes
   in
   if smoke then begin
@@ -702,15 +758,15 @@ let kernel_bench ~smoke ~scale =
        flattened k-trie is additionally held to the 1.5x it was built to
        deliver over the hashtable walk. *)
     List.iter
-      (fun (name, ratio, _, _) ->
+      (fun (name, ratio, _, _, _) ->
          check
            (Printf.sprintf "%s: kernel %.2fx >= 1.0x over packed" name ratio)
            (ratio >= 1.0))
       measured;
     (match
-       List.find_opt (fun (name, _, _, _) -> name = "path-profile-k2") measured
+       List.find_opt (fun (name, _, _, _, _) -> name = "path-profile-k2") measured
      with
-     | Some (_, ratio, _, _) ->
+     | Some (_, ratio, _, _, _) ->
        check
          (Printf.sprintf
             "path-profile-k2: flattened trie %.2fx >= 1.5x over packed" ratio)
@@ -720,8 +776,8 @@ let kernel_bench ~smoke ~scale =
        multiplexed sweep must clear 1e8 lane-instances/s (n * delay
        lanes / wall).  The loop-index engine replays from per-recording
        run summaries, so this holds even clamped to one worker. *)
-    (match List.find_opt (fun (name, _, _, _) -> name = "net") measured with
-     | Some (_, _, _, sharded_s) ->
+    (match List.find_opt (fun (name, _, _, _, _) -> name = "net") measured with
+     | Some (_, _, _, sharded_s, _) ->
        (match List.assoc_opt 4 sharded_s with
         | None -> ()
         | Some t4 ->
@@ -731,12 +787,25 @@ let kernel_bench ~smoke ~scale =
                "net: jobs=4 aggregate %.2e >= 1e8 lane-instances/s" aggregate)
             (aggregate >= 1e8))
      | None -> ());
+    (* Session gate: the recording pushed through a [Session] as
+       batches runs the same kernel as the in-memory replay, plus one
+       batch copy and the session's id/arrival gate per frame.  It must
+       keep >= 0.8x of the kernel's instances/s; a session that fell
+       back to the generic walker runs at the packed loop's 0.3-0.4x. *)
+    List.iter
+      (fun (name, _, kernel_s, _, session_s) ->
+         let ratio = kernel_s /. session_s in
+         check
+           (Printf.sprintf "%s: session %.2fx of kernel inst/s >= 0.8x" name
+              ratio)
+           (ratio >= 0.8))
+      measured;
     (* Regression gate against the committed baseline: the packed->kernel
        speedup is a ratio of two loops over the same data on the same
        machine, so it transfers across hosts where raw instances/s does
        not.  >5% below the recorded ratio fails. *)
     List.iter
-      (fun (name, measured, _, _) ->
+      (fun (name, measured, _, _, _) ->
          (* The ratio gate covers the paper's schemes only: the k-kernels'
             packed->kernel ratio hovers near 1x (they strip module
             indirection but keep the per-instance trie/counter walk), so
@@ -759,7 +828,7 @@ let kernel_bench ~smoke ~scale =
        regression again — jobs=4 at least matches jobs=1 on the net
        kernel, on this machine, right now. *)
     List.iter
-      (fun (name, _, kernel_s, sharded_s) ->
+      (fun (name, _, kernel_s, sharded_s, _) ->
          if name = "net" then
            match List.assoc_opt 4 sharded_s with
            | None -> ()

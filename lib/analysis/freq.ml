@@ -327,22 +327,27 @@ let estimate prog =
   { t0 with heads }
 
 (* Schemes call [create] once per delay lane on the same loaded
-   program; the estimate is pure, so share it by physical identity. *)
+   program; the estimate is pure, so share it by physical identity.
+   Entries are ephemerons keyed on the program: an estimate lives only
+   as long as its program, so programs dropped by their owner do not
+   pin their estimates here.  The bound is sized so a figure run's
+   working set fits — the nine suite programs, plus headroom for the
+   phased demo and Figure 1 programs; at 8 the ninth benchmark evicted
+   the first, and every later pass over the suite re-estimated
+   [static] from scratch. *)
 let cache_lock = Mutex.create ()
 
-let cache : (Cfg.program * t) list ref = ref []
+let cache : (Cfg.program, t) Ephemeron.K1.t list ref = ref []
 
-let cache_limit = 8
+let cache_limit = 16
 
 let cached prog =
   Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun (p, _) -> p == prog) !cache with
-      | Some (_, t) -> t
+      match List.find_map (fun e -> Ephemeron.K1.query e prog) !cache with
+      | Some t -> t
       | None ->
         let t = estimate prog in
         cache :=
-          (prog, t)
-          :: (if List.length !cache >= cache_limit then
-                List.filteri (fun i _ -> i < cache_limit - 1) !cache
-              else !cache);
+          Ephemeron.K1.make prog t
+          :: List.filteri (fun i _ -> i < cache_limit - 1) !cache;
         t)

@@ -58,7 +58,9 @@ val estimate : Cfg.program -> t
 
 val cached : Cfg.program -> t
 (** Memoized {!estimate}, keyed on physical program identity — schemes
-    call this once per delay lane on the same loaded program. *)
+    call this once per delay lane on the same loaded program.  The memo
+    holds up to 16 programs (the nine suite programs fit with room to
+    spare) and never keeps an estimate alive past its program. *)
 
 val program : t -> Cfg.program
 

@@ -40,9 +40,9 @@ type outcome = Session.outcome = {
     sample per [window] instances per delay lane, plus a final sample so
     the last window's cumulative fields always equal the outcome's
     totals.  Sampling is observation only: outcomes are byte-identical
-    with events on and off (property-tested), the per-instance cost of a
-    disabled sampler is one integer comparison, and an enabled one does
-    all its work at window boundaries. *)
+    with events on and off (property-tested), a disabled sampler costs
+    nothing per instance, and an enabled one does all its work at window
+    boundaries, where the engine cuts its slices. *)
 
 type events
 
@@ -111,23 +111,26 @@ val run_many :
     @raise Invalid_argument when any delay is [< 1], [jobs < 1] or
     [chunk < 1]. *)
 
-(** {1 Monomorphized kernels}
+(** {1 Engines}
 
-    [run]/[run_many] on a packed module call the scheme through a
-    first-class-module indirection per profiled instance.  {!Make}
-    compiles the same multiplexed loop against a statically known scheme
-    module.  For the built-in schemes ({!Net}, {!Net.Net_once},
-    {!Net.Last_executed_tail}, {!Path_profile}) the packed entry points
-    additionally dispatch to hand-specialized kernels that flatten the
-    scheme's hashtable state into dense arrays — recognized by the
-    physical identity of the packed [observe], so wrapping or re-deriving
-    a scheme safely falls back to the generic loop.  The k-iteration
-    families ({!Net_k}, {!Path_profile_k}) get the same treatment keyed
-    on the identity of [create] instead ([observe] captures nothing
-    instantiation-specific, so it is one shared closure across every k).
-    All the loops are property-tested byte-identical; [bench kernel]
+    Every surface — {!run_many}, the streamed and mapped readers, and
+    {!Session} (hence [hotpath serve]) — replays through the same
+    per-scheme engine, {!Session.Engine}.  The built-in schemes
+    ({!Net}, {!Net.Net_once}, {!Net.Last_executed_tail},
+    {!Path_profile}, and the k-iteration families {!Net_k} and
+    {!Path_profile_k}) run a kernel that flattens the scheme's
+    hashtable state into dense arrays and inlines its logic into the
+    lane loop.  A built-in is recognized by the physical identity of the
+    packed [observe] (of [create] for the k-families, whose [observe] is
+    one closure shared across every k), so wrapping or re-deriving a
+    scheme safely falls back to the generic walker, which calls the
+    scheme's own [observe] per profiled instance.  The kernels are
+    property-tested byte-identical to the generic walker; [bench kernel]
     measures the spread. *)
 
+(** The generic walker over a statically known scheme: never dispatched
+    to a kernel, so [Make (Net)] is the reference the NET kernel is
+    tested against. *)
 module Make (S : Scheme.S) : sig
   val run :
     ?events:events -> delay:int -> Hotpath_trace.Recorder.t -> outcome

@@ -1,63 +1,41 @@
 (* A reusable dense view of a slice of the instance stream.
 
-   Everything the replay hot loops touch per instance lives here as a
-   plain int array: path ids, arrival codes, and (optionally) the
-   per-instance descriptor gather (loop-head block, branch count, block
-   count).  Frames and chunks are decoded into a batch exactly once;
-   every lane group then walks cache-resident arrays instead of
-   re-reading bytes or chasing per-path descriptor indirections.
+   Path ids and arrival codes, in exactly the representation a
+   recording holds them ([Recorder.instances] and [Recorder.arrivals]):
+   an int array and one code byte per instance.  The replay kernels
+   walk a slice of those two arrays, so a decoded frame and a whole
+   in-memory recording feed the very same loop with no conversion.
 
    A batch is a scratch buffer owned by whoever fills it.  Consumers
-   (session walkers, replay lane groups) may read [ids]/[arrs] (and the
-   descriptor arrays when the filler populated them) for indices
-   [0, n), concurrently from several domains, but must never retain the
-   arrays past the call that handed them the batch: the next fill
-   reuses the same storage. *)
+   (session walkers, replay lane groups) may read [ids]/[arrs] for
+   indices [0, n), concurrently from several domains, but must never
+   retain the arrays past the call that handed them the batch: the next
+   fill reuses the same storage. *)
 
 type t = {
-  mutable n : int;  (* valid prefix length of every array below *)
+  mutable n : int;  (* valid prefix length of both arrays below *)
   mutable ids : int array;  (* path ids *)
-  mutable arrs : int array;  (* arrival codes, as in {!Recorder.arrival_code} *)
-  mutable heads : int array;  (* loop-head head block per instance *)
-  mutable branches : int array;  (* branch count per instance *)
-  mutable blocks : int array;  (* block count per instance *)
+  mutable arrs : Bytes.t;  (* arrival codes, as in {!Recorder.arrivals} *)
 }
 
 let create ?(capacity = 1024) () =
   let capacity = max 1 capacity in
-  {
-    n = 0;
-    ids = Array.make capacity 0;
-    arrs = Array.make capacity 0;
-    heads = [||];
-    branches = [||];
-    blocks = [||];
-  }
+  { n = 0; ids = Array.make capacity 0; arrs = Bytes.make capacity '\000' }
 
 let length t = t.n
 
 let clear t = t.n <- 0
 
-let grown old n =
-  let a = Array.make (max n (2 * Array.length old)) 0 in
-  Array.blit old 0 a 0 (Array.length old);
-  a
-
-(* Capacity for [n] instances in the wire arrays ([ids]/[arrs]);
-   amortized doubling so refills never reallocate at steady state. *)
+(* Capacity for [n] instances; amortized doubling so refills never
+   reallocate at steady state. *)
 let ensure t n =
   if n > Array.length t.ids then begin
-    t.ids <- grown t.ids n;
-    t.arrs <- grown t.arrs n
-  end
-
-(* The descriptor gather is optional — the wire decoders never touch
-   it — so its arrays grow separately and stay empty for sessions. *)
-let ensure_descriptors t n =
-  if n > Array.length t.heads then begin
-    t.heads <- grown t.heads n;
-    t.branches <- grown t.branches n;
-    t.blocks <- grown t.blocks n
+    let cap = max n (2 * Array.length t.ids) in
+    let ids = Array.make cap 0 and arrs = Bytes.make cap '\000' in
+    Array.blit t.ids 0 ids 0 (Array.length t.ids);
+    Bytes.blit t.arrs 0 arrs 0 (Bytes.length t.arrs);
+    t.ids <- ids;
+    t.arrs <- arrs
   end
 
 let set_length t n =
@@ -65,21 +43,20 @@ let set_length t n =
   ensure t n;
   t.n <- n
 
-(* Decode a pull-reader chunk (ids + packed arrival bytes) once.  No
-   validation: callers gate ids/arrivals exactly as they would for the
-   chunk itself. *)
+(* Copy a pull-reader chunk (ids + arrival bytes) in.  No validation:
+   callers gate ids/arrivals exactly as they would for the chunk
+   itself. *)
 let fill_of_chunk t ~ids ~arrivals =
   let n = Array.length ids in
+  if Bytes.length arrivals < n then
+    invalid_arg "Batch.fill_of_chunk: fewer arrivals than ids";
   ensure t n;
-  Array.blit ids 0 t.ids 0 n;
-  let arrs = t.arrs in
-  for i = 0 to n - 1 do
-    Array.unsafe_set arrs i (Char.code (Bytes.unsafe_get arrivals i))
+  (* A typed loop, not [Array.blit]: the runtime's blit cannot tell an
+     int array from a boxed one and pays a write barrier per element
+     into a major-heap destination, about 4x the cost of this copy. *)
+  let dst = t.ids in
+  for j = 0 to n - 1 do
+    Array.unsafe_set dst j (Array.unsafe_get ids j)
   done;
+  Bytes.blit arrivals 0 t.arrs 0 n;
   t.n <- n
-
-(* Same mapping as [Recorder.arrival_of_code], on the int code. *)
-let kind_of_code = function
-  | 0 -> Path.Loop_head
-  | 1 -> Path.Entry
-  | _ -> Path.Continuation

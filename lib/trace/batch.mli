@@ -1,31 +1,26 @@
 (** A reusable dense view of a slice of the instance stream — the
     batched-decode contract between ingest and replay.
 
-    Frames and chunks are decoded {e once} into preallocated int
-    arrays; the monomorphized kernels, session walkers, and the
-    chunk-sharded [?jobs] engine consume those arrays directly instead
-    of re-reading wire bytes (or chasing per-path descriptor
-    indirections) per instance per lane.
+    A batch holds path ids and arrival codes in the representation of a
+    recording ({!Recorder.t}'s [instances] and [arrivals]), so the
+    replay kernels walk a decoded frame and an in-memory recording
+    through the same loop, with no per-instance conversion and no copy
+    of the recording.
 
     {b Lifetime rules.}  A batch is a scratch buffer owned by its
     filler.  Readers may access indices [0, length t) of {!ids} and
-    {!arrs} (plus {!heads}/{!branches}/{!blocks} when the filler
-    populated them), concurrently from several domains; they must not
-    retain the arrays past the call that handed them the batch — the
-    next fill writes over the same storage, and growth swaps the arrays
-    out entirely. *)
+    {!arrs}, concurrently from several domains; they must not retain
+    the arrays past the call that handed them the batch — the next fill
+    writes over the same storage, and growth swaps the arrays out
+    entirely. *)
 
 type t = {
   mutable n : int;
   mutable ids : int array;  (** Path ids, valid in [\[0, n)]. *)
-  mutable arrs : int array;
-      (** Arrival codes ([0] loop-head, [1] entry, [2] continuation —
-          {!Recorder.arrival_code} widened to int), valid in [\[0, n)]. *)
-  mutable heads : int array;
-      (** Per-instance head block of the path — filled only by gathers
-          that request descriptors (see {!ensure_descriptors}). *)
-  mutable branches : int array;  (** Per-instance branch count. *)
-  mutable blocks : int array;  (** Per-instance block count. *)
+  mutable arrs : Bytes.t;
+      (** Arrival codes, one byte per instance ([0] loop-head, [1]
+          entry, [2] continuation — {!Recorder.arrival_of_code}), valid in
+          [\[0, n)]. *)
 }
 
 val create : ?capacity:int -> unit -> t
@@ -37,21 +32,14 @@ val length : t -> int
 val clear : t -> unit
 
 val ensure : t -> int -> unit
-(** Grow {!ids}/{!arrs} to hold at least [n] instances. *)
-
-val ensure_descriptors : t -> int -> unit
-(** Grow {!heads}/{!branches}/{!blocks} to hold at least [n] instances
-    (they stay empty unless a filler asks — wire decoders never do). *)
+(** Grow {!ids}/{!arrs} to hold at least [n] instances, keeping the
+    valid prefix. *)
 
 val set_length : t -> int -> unit
 (** Declare [n] instances valid after a direct array fill (grows the
-    wire arrays first).  @raise Invalid_argument when [n < 0]. *)
+    arrays first).  @raise Invalid_argument when [n < 0]. *)
 
 val fill_of_chunk : t -> ids:int array -> arrivals:Bytes.t -> unit
-(** Decode a pull-reader chunk into the batch: blit [ids], widen the
-    packed arrival bytes to int codes.  Performs no validation — gate
-    the contents exactly as you would the chunk. *)
-
-val kind_of_code : int -> Path.head_kind
-(** The {!Recorder.arrival_of_code} mapping on the widened int code
-    (any code [>= 2] reads as [Continuation], as on the wire). *)
+(** Copy a pull-reader chunk into the batch.  Performs no validation —
+    gate the contents exactly as you would the chunk.
+    @raise Invalid_argument when [arrivals] is shorter than [ids]. *)

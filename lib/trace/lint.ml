@@ -437,6 +437,6 @@ module Incremental = struct
     let ids = b.Batch.ids and arrs = b.Batch.arrs in
     check_gen t ~n ~n_codes:n
       ~id_at:(fun j -> Array.get ids j)
-      ~code_at:(fun j -> Array.get arrs j)
+      ~code_at:(fun j -> Char.code (Bytes.get arrs j))
       ~len_diag:None
 end

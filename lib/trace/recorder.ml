@@ -25,7 +25,6 @@ type t = {
   arrivals : Bytes.t;
   vm_stats : Vm.run_stats;
   cache_descriptors : descriptors option Atomic.t;
-  cache_arrival_view : Path.head_kind array option Atomic.t;
   cache_loop_index : loop_index option Atomic.t;
 }
 
@@ -144,7 +143,6 @@ let record ?max_steps ?max_paths ?max_stack program behavior ~rng =
       arrivals = Buffer.to_bytes arrivals;
       vm_stats;
       cache_descriptors = Atomic.make None;
-      cache_arrival_view = Atomic.make None;
       cache_loop_index = Atomic.make None;
     }
 
@@ -190,8 +188,7 @@ let of_parts ~program ~table ~instances ~arrivals ~vm_stats =
                 arrivals;
                 vm_stats;
                 cache_descriptors = Atomic.make None;
-                cache_arrival_view = Atomic.make None;
-                cache_loop_index = Atomic.make None;
+                          cache_loop_index = Atomic.make None;
               })
     end
 
@@ -229,11 +226,6 @@ let descriptors t =
            d_blocks.(p.Path.id) <- Array.length p.Path.blocks)
         t.table;
       { d_heads; d_branches; d_blocks })
-
-let arrival_view t =
-  cached t.cache_arrival_view (fun () ->
-      Array.init (Bytes.length t.arrivals) (fun i ->
-          arrival_of_code (Bytes.get t.arrivals i)))
 
 (* The NET replay kernels consume the trace only through its loop-head
    events (index + running occurrence count of the event's own path)

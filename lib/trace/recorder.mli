@@ -44,8 +44,6 @@ type t = private {
   vm_stats : Hotpath_vm.Vm.run_stats;
   cache_descriptors : descriptors option Atomic.t;
       (** Internal {!descriptors} cache — do not touch. *)
-  cache_arrival_view : Path.head_kind array option Atomic.t;
-      (** Internal {!arrival_view} cache — do not touch. *)
   cache_loop_index : loop_index option Atomic.t;
       (** Internal {!loop_index} cache — do not touch. *)
 }
@@ -146,12 +144,6 @@ val descriptors : t -> descriptors
     use and cached in the recording (atomically — replay is fanned out
     over domains), so the per-traversal cost replay used to pay is paid
     once per recording. *)
-
-val arrival_view : t -> Path.head_kind array
-(** The [arrivals] bytes decoded (via {!arrival_of_code}) into one
-    [head_kind] per instance, cached like {!descriptors}.  Hoists the
-    per-instance decode out of replay loops; costs one word per instance
-    on first use. *)
 
 val loop_index : t -> loop_index
 (** The loop-head event/run compression of the trace, computed on first

@@ -874,7 +874,7 @@ module Stream = struct
 
     (* An instance frame validated and decoded straight out of a buffer
        region into [batch]: ids range-checked against the table, arrival
-       bytes widened to int codes — no payload string, no per-chunk
+       bytes copied as they are — no payload string, no per-chunk
        ids/arrivals allocation.  Checks mirror [parse_instances_payload]
        (same messages, same order) so batch and chunk decoding accept
        exactly the same frames. *)
@@ -896,7 +896,7 @@ module Stream = struct
       for j = 0 to n - 1 do
         let a = Char.code (Bytes.unsafe_get buf (aoff + j)) in
         if a > 2 then fail "invalid arrival code %d" a;
-        Array.unsafe_set arrs j a
+        Bytes.unsafe_set arrs j (Char.unsafe_chr a)
       done;
       if len <> 4 + (5 * n) then
         fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
@@ -1111,7 +1111,7 @@ module Stream = struct
              ^ ": not a regular file — mmap ingest needs one (use open_file)"))
 
     (* The zero-copy hot path: an instance frame's count, ids, and
-       arrival bytes are validated and widened directly from the mapped
+       arrival bytes are validated and copied directly from the mapped
        region into the caller's batch.  Checks mirror
        [parse_instances_payload]. *)
     let decode_instances m ~off ~len (batch : Batch.t) =
@@ -1133,7 +1133,7 @@ module Stream = struct
       for j = 0 to n - 1 do
         let a = ba_u8 buf (aoff + j) in
         if a > 2 then fail "invalid arrival code %d" a;
-        Array.unsafe_set arrs j a
+        Bytes.unsafe_set arrs j (Char.unsafe_chr a)
       done;
       if len <> 4 + (5 * n) then
         fail "frame has %d trailing bytes" (len - (4 + (5 * n)));

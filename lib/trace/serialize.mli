@@ -256,7 +256,7 @@ module Stream : sig
         [arrivals] per instance frame.  {!next_batch} instead validates
         and decodes instance frames straight out of the internal buffer
         into a caller-supplied (reusable) {!Batch.t} — ids range-checked,
-        arrival bytes widened to int codes — accepting and rejecting
+        arrival bytes copied as codes — accepting and rejecting
         exactly the same streams.  Cold frames (program, paths, end) go
         through the shared payload parsers unchanged. *)
 

@@ -1,23 +1,25 @@
 type t = int32
 
+(* The tables are computed eagerly at module initialisation: they are
+   read-only afterwards, so any number of domains may checksum at once.
+   (Lazy values are not domain-safe — two domains forcing one at the
+   same time raise [CamlinternalLazy.Undefined].) *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let empty = 0l
 
 (* Standard composable form: invert on entry and exit, so the state
    between updates is the plain (finalized) checksum. *)
 let update_gen get crc buf ~pos ~len =
-  let table = Lazy.force table in
   let c = ref (Int32.lognot crc) in
   for i = pos to pos + len - 1 do
     let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (get buf i))) 0xFFl) in
@@ -43,15 +45,12 @@ type bigstring =
    [t.(j+1).(b)] advances [t.(j).(b)] one more zero byte, so four
    lookups absorb four message bytes at once. *)
 let tables_nat =
-  lazy
-    (let t0 =
-       Array.map (fun c -> Int32.to_int c land 0xFFFF_FFFF) (Lazy.force table)
-     in
-     let next t = Array.map (fun c -> t0.(c land 0xFF) lxor (c lsr 8)) t in
-     let t1 = next t0 in
-     let t2 = next t1 in
-     let t3 = next t2 in
-     [| t0; t1; t2; t3 |])
+  let t0 = Array.map (fun c -> Int32.to_int c land 0xFFFF_FFFF) table in
+  let next t = Array.map (fun c -> t0.(c land 0xFF) lxor (c lsr 8)) t in
+  let t1 = next t0 in
+  let t2 = next t1 in
+  let t3 = next t2 in
+  [| t0; t1; t2; t3 |]
 
 (* Specialized loop for the mapped-ingest hot path: zero-copy readers
    checksum every mapped byte, so this replaces [update_gen]'s per-byte
@@ -63,7 +62,7 @@ let tables_nat =
 let update_bigstring crc b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bigarray.Array1.dim b - len then
     invalid_arg "Crc32.update_bigstring: slice out of bounds";
-  let t = Lazy.force tables_nat in
+  let t = tables_nat in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let c = ref (Int32.to_int (Int32.lognot crc) land 0xFFFF_FFFF) in
   let i = ref pos in

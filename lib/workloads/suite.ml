@@ -214,7 +214,7 @@ let record ?(scale = 1.0) b =
     ~rng:(Prng.create ~seed:(b.b_seed * 7919))
 
 (* Same budgets and seed derivation as [record], so the emitted stream
-   serializes exactly the recording [record] would materialize. *)
+   decodes to the recording [record] would materialize. *)
 let record_stream ?(scale = 1.0) ?chunk_instances ?events b ~sink =
   let program, behavior = Generator.build b.b_spec ~seed:b.b_seed in
   let max_paths = max 1000 (int_of_float (scale *. float_of_int b.b_flow)) in

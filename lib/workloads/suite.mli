@@ -68,9 +68,13 @@ val record_stream :
 (** {!record} straight to an HOTPATH3 sink
     ({!Hotpath_trace.Serialize.Stream.record}): the instance stream is
     flushed as it is produced and never materialized.  Same budgets and
-    seeds as {!record}, so the emitted bytes are exactly
-    [Serialize.Stream.to_string (record ~scale b)] at the same chunk
-    size. *)
+    seeds as {!record}, so the stream decodes to the same recording:
+    the same program, path table, instances, arrivals and VM stats.
+    The bytes are not those of
+    [Serialize.Stream.to_string (record ~scale b)]: the streaming
+    recorder writes each chunk's newly declared paths just before that
+    chunk, so paths frames fall between instance frames, where
+    [to_string] writes the finished table before the first one. *)
 
 val hot_threshold : float
 (** The paper's hot threshold: 0.001 (0.1% of total flow). *)

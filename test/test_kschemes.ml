@@ -167,8 +167,9 @@ let test_k1_event_streams_and_registry () =
 (* Kernel == generic walker at k > 1                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Eta-expanding [create] breaks the physical identity the kernel
-   dispatch keys on, so the wrapped module takes the generic
+(* Eta-expanding [create] and [observe] breaks the physical identity the
+   kernel dispatch keys on ([create] for the k-families, [observe] for
+   the base schemes), so the wrapped module takes the generic
    first-class-module loop; outcomes must not change. *)
 let wrap (module S : Scheme.S) : Scheme.packed =
   (module struct
@@ -176,7 +177,10 @@ let wrap (module S : Scheme.S) : Scheme.packed =
 
     let name = S.name
     let create ~delay ~program = S.create ~delay ~program
-    let observe = S.observe
+
+    let observe t ~head ~arrival ~path_id ~n_branches ~n_blocks =
+      S.observe t ~head ~arrival ~path_id ~n_branches ~n_blocks
+
     let collect = S.collect
     let counter_space = S.counter_space
     let profiling_ops = S.profiling_ops

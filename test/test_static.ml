@@ -259,6 +259,18 @@ let test_diamond_freq () =
     (Freq.block_freq pf 1 +. Freq.block_freq pf 2);
   check_feq "join = head flow" (Freq.block_freq pf 0) (Freq.block_freq pf 3)
 
+(* The memo holds every suite program at once: after one pass over the
+   nine benchmarks, a second pass finds each estimate again (physically
+   the same value) instead of re-estimating. *)
+let test_cached_fits_suite () =
+  let progs = List.map Suite.program Suite.all in
+  Alcotest.(check int) "nine suite programs" 9 (List.length progs);
+  let first = List.map Freq.cached progs in
+  let second = List.map Freq.cached progs in
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "estimate reused" true (a == b))
+    first second
+
 let test_double_latch_capped () =
   let program = double_latch () in
   let g, loops, h = analyses program ~proc:0 in
@@ -652,6 +664,8 @@ let suites =
         Alcotest.test_case "diamond closed form" `Quick test_diamond_freq;
         Alcotest.test_case "double latch hits the cp cap" `Quick
           test_double_latch_capped;
+        Alcotest.test_case "cached holds all nine suite programs" `Quick
+          test_cached_fits_suite;
         Alcotest.test_case "irreducible degrades, stays finite" `Quick
           test_irreducible_degraded;
         Alcotest.test_case "flow conservation: hand programs" `Quick

@@ -640,7 +640,7 @@ module Mapped = Stream.Mapped
 module Batch = Hotpath_trace.Batch
 
 (* Drain a mapped reader through one reused batch.  Returns the
-   concatenated ids and re-packed arrival bytes plus the terminal state:
+   concatenated ids and arrival bytes plus the terminal state:
    [Ok ()] for a clean end frame, [Error e] when the reader poisoned. *)
 let drain_mapped m =
   let b = Batch.create ~capacity:16 () in
@@ -651,8 +651,7 @@ let drain_mapped m =
     | Ok true ->
       let n = Batch.length b in
       ids := Array.sub b.Batch.ids 0 n :: !ids;
-      arrs :=
-        String.init n (fun j -> Char.chr (b.Batch.arrs.(j) land 0xFF)) :: !arrs;
+      arrs := Bytes.sub_string b.Batch.arrs 0 n :: !arrs;
       loop ()
     | Ok false -> Ok ()
     | Error e -> Error e
@@ -888,10 +887,51 @@ let test_run_mapped_surfaces_decode_errors () =
             Alcotest.(check string) "mapped reader stays poisoned" first second
           | Ok _ -> Alcotest.fail "poisoned mapped reader yielded a batch"))
 
+(* [Suite.record_stream] decodes to the recording [Suite.record] makes —
+   same program, path table, instances, arrivals and VM stats — on every
+   benchmark.  Its bytes differ from [Stream.to_string] of that
+   recording (paths frames sit between instance frames), so the
+   contract is checked on the decoded values, not the bytes. *)
+let test_record_stream_decodes_to_record () =
+  List.iter
+    (fun (b : Hotpath_workloads.Suite.benchmark) ->
+       let name = b.Hotpath_workloads.Suite.b_name in
+       let scale = 0.02 in
+       let direct = Hotpath_workloads.Suite.record ~scale b in
+       let buf = Buffer.create (1 lsl 16) in
+       ignore
+         (Hotpath_workloads.Suite.record_stream ~scale b
+            ~sink:(Buffer.add_string buf));
+       let streamed =
+         match Stream.open_string (Buffer.contents buf) with
+         | Error e -> Alcotest.failf "%s: open_string: %s" name e
+         | Ok rd -> (
+           match Stream.to_recorder rd with
+           | Error e -> Alcotest.failf "%s: to_recorder: %s" name e
+           | Ok r -> r)
+       in
+       Alcotest.(check bool) (name ^ ": program") true
+         (streamed.Recorder.program = direct.Recorder.program);
+       let paths (r : Recorder.t) =
+         List.init (Path_table.size r.Recorder.table) (Path_table.path r.Recorder.table)
+       in
+       Alcotest.(check bool) (name ^ ": path table") true
+         (paths streamed = paths direct);
+       Alcotest.(check (array int)) (name ^ ": instances")
+         direct.Recorder.instances streamed.Recorder.instances;
+       Alcotest.(check string) (name ^ ": arrivals")
+         (Bytes.to_string direct.Recorder.arrivals)
+         (Bytes.to_string streamed.Recorder.arrivals);
+       Alcotest.(check bool) (name ^ ": vm stats") true
+         (streamed.Recorder.vm_stats = direct.Recorder.vm_stats))
+    Hotpath_workloads.Suite.all
+
 let suites =
   [
     ( "trace.stream",
       [
+        Alcotest.test_case "Suite.record_stream decodes to Suite.record" `Quick
+          test_record_stream_decodes_to_record;
         Alcotest.test_case "roundtrip at several chunk sizes" `Quick
           test_stream_roundtrip;
         Alcotest.test_case "chunk boundary sizes" `Quick test_chunk_boundaries;
