@@ -10,6 +10,7 @@
    and is recorded in EXPERIMENTS.md. *)
 
 open Hotpath
+module Crc32 = Hotpath_util.Crc32
 
 let heading title =
   Format.printf "@.============================================================@.";
@@ -261,22 +262,84 @@ let pp_hwm label =
   | -1 -> Format.printf "  peak RSS %s: unavailable@." label
   | kb -> Format.printf "  peak RSS %s: %.1f MB@." label (float_of_int kb /. 1024.0)
 
+(* The machine a row was measured on: cores, compiler, source revision
+   ("-dirty" when the working tree differs from it). *)
+let git_revision () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let rev = try input_line ic with End_of_file -> "unknown" in
+    ignore (Unix.close_process_in ic);
+    rev
+
+let machine_fields =
+  lazy
+    [
+      ("nproc", Events.Int (Domain.recommended_domain_count ()));
+      ("ocaml_version", Events.Str Sys.ocaml_version);
+      ("git_rev", Events.Str (git_revision ()));
+    ]
+
 let bench_ingest_file = "BENCH_ingest.json"
 
 (* Same flat JSON-lines shape as BENCH_replay.json: one line per ingest
    variant, parseable by Events.parse_line. *)
-let bench_ingest_line ~variant ~scale ~instances ~wall_s ~peak_rss_kb =
+let bench_ingest_line fields =
   let buf = Buffer.create 256 in
   Events.emit (Events.of_buffer buf) ~kind:"bench_ingest"
-    [
-      ("variant", Events.Str variant);
-      ("scale", Events.Float scale);
-      ("instances", Events.Int instances);
-      ("wall_s", Events.Float wall_s);
-      ("instances_per_s", Events.Float (float_of_int instances /. wall_s));
-      ("peak_rss_kb", Events.Int peak_rss_kb);
-    ];
+    (Lazy.force machine_fields @ fields);
   Buffer.contents buf
+
+(* The reference the CRC gate measures against: a typed byte-at-a-time
+   table loop, the fastest a kernel without word loads can go. *)
+let crc_bytewise_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let crc_bytewise (b : Bytes.t) =
+  let c = ref 0xFFFF_FFFF in
+  for i = 0 to Bytes.length b - 1 do
+    c :=
+      Array.unsafe_get crc_bytewise_table
+        ((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+(* CRC throughput per buffer kind over [data], each rep looping long
+   enough (about 64 MB) to beat timer resolution; best of [reps].
+   Returns [(kind, MB/s)] with the byte-at-a-time reference first. *)
+let crc_rates ~reps data =
+  let n = String.length data in
+  let bytes = Bytes.of_string data in
+  let big =
+    Bigarray.Array1.init Bigarray.char Bigarray.c_layout n (String.get data)
+  in
+  let expect = Crc32.digest_string data in
+  let loops = max 1 ((64 lsl 20) / max 1 n) in
+  let rate name f =
+    if f () <> expect then failwith ("CRC mismatch: " ^ name);
+    let best = ref infinity in
+    for _ = 1 to reps do
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to loops do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    (name, float_of_int (n * loops) /. !best /. 1e6)
+  in
+  [
+    rate "bytewise" (fun () -> crc_bytewise bytes);
+    rate "string" (fun () -> Crc32.update_string Crc32.empty data ~pos:0 ~len:n);
+    rate "bytes" (fun () -> Crc32.update_bytes Crc32.empty bytes ~pos:0 ~len:n);
+    rate "bigstring" (fun () ->
+        Crc32.update_bigstring Crc32.empty big ~pos:0 ~len:n);
+  ]
 
 let streaming_demo ~smoke ~scale =
   heading
@@ -310,11 +373,20 @@ let streaming_demo ~smoke ~scale =
   let reps = if smoke then 5 else 3 in
   let lines = ref [] in
   let report ~variant ~instances ~peak_rss_kb wall_s =
-    Format.printf "  %-26s %.2fs (%.2e instances/s)@."
-      (variant ^ " replay:") wall_s
+    Format.printf "  %-26s %.3fs (%.2e instances/s)@."
+      (variant ^ (if variant = "decode" then ":" else " replay:"))
+      wall_s
       (float_of_int instances /. wall_s);
     lines :=
-      bench_ingest_line ~variant ~scale ~instances ~wall_s ~peak_rss_kb
+      bench_ingest_line
+        [
+          ("variant", Events.Str variant);
+          ("scale", Events.Float scale);
+          ("instances", Events.Int instances);
+          ("wall_s", Events.Float wall_s);
+          ("instances_per_s", Events.Float (float_of_int instances /. wall_s));
+          ("peak_rss_kb", Events.Int peak_rss_kb);
+        ]
       :: !lines
   in
   let read_once () =
@@ -333,6 +405,20 @@ let streaming_demo ~smoke ~scale =
        | Error e -> failwith e
        | Ok o -> o)
   in
+  (* Decode alone: map, then drain every frame into one batch. *)
+  let batch = Batch.create () in
+  let decode_once () =
+    match Serialize.Stream.Mapped.map_file ~path with
+    | Error e -> failwith e
+    | Ok m ->
+      let rec drain () =
+        match Serialize.Stream.Mapped.next_batch m batch with
+        | Error e -> failwith e
+        | Ok true -> drain ()
+        | Ok false -> Serialize.Stream.Mapped.instances_read m
+      in
+      drain ()
+  in
   (* RSS attribution passes, in order: pull-reader replay first (read(2)
      into reused buffers, one frame in memory at a time), then the
      zero-copy mapped replay — the watermark is monotonic, so whatever
@@ -347,22 +433,44 @@ let streaming_demo ~smoke ~scale =
   let mapped = mmap_once () in
   let mmap_rss = vm_hwm_kb () in
   pp_hwm "after mmap replay";
-  let best_read = ref infinity and best_mmap = ref infinity in
+  let decoded = decode_once () in
+  let best_read = ref infinity and best_mmap = ref infinity
+  and best_decode = ref infinity in
+  let time best f =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  in
   for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (read_once ());
-    let t = Unix.gettimeofday () -. t0 in
-    if t < !best_read then best_read := t;
-    let t0 = Unix.gettimeofday () in
-    ignore (mmap_once ());
-    let t = Unix.gettimeofday () -. t0 in
-    if t < !best_mmap then best_mmap := t
+    time best_read read_once;
+    time best_mmap mmap_once;
+    time best_decode decode_once
   done;
   let read_s = !best_read and mmap_s = !best_mmap in
   report ~variant:"read" ~instances:streamed.Replay.total_instances
     ~peak_rss_kb:read_rss read_s;
   report ~variant:"mmap" ~instances:mapped.Replay.total_instances
     ~peak_rss_kb:mmap_rss mmap_s;
+  report ~variant:"decode" ~instances:decoded ~peak_rss_kb:(vm_hwm_kb ())
+    !best_decode;
+  (* CRC throughput per buffer kind over the trace file's bytes. *)
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  let crc = crc_rates ~reps data in
+  let bytewise = List.assoc "bytewise" crc in
+  List.iter
+    (fun (kind, mb_s) ->
+       Format.printf "  crc %-22s %7.1f MB/s (%.1fx byte-at-a-time)@."
+         (kind ^ ":") mb_s (mb_s /. bytewise);
+       lines :=
+         bench_ingest_line
+           [
+             ("variant", Events.Str ("crc-" ^ kind));
+             ("bytes", Events.Int (String.length data));
+             ("mb_per_s", Events.Float mb_s);
+             ("vs_bytewise", Events.Float (mb_s /. bytewise));
+           ]
+         :: !lines)
+    crc;
   (* Materialized load + replay of the same file, last: it holds the
      whole instance stream and dominates the final watermark. *)
   Gc.compact ();
@@ -416,7 +524,23 @@ let streaming_demo ~smoke ~scale =
       (float_of_int mapped.Replay.total_instances /. mmap_s)
       (float_of_int streamed.Replay.total_instances /. read_s)
       (if pass then "PASS" else "FAIL");
-    if not pass then exit 1
+    (* Each buffer kind's CRC must run at least twice as fast as the
+       byte-at-a-time loop (about 4x when every access compiles to a
+       direct word load).  A polymorphic bigarray access or a per-byte
+       closure call drops a kind below 1x, so either is caught. *)
+    let crc_pass =
+      List.for_all
+        (fun (kind, mb_s) ->
+           let ok = kind = "bytewise" || mb_s >= 2.0 *. bytewise in
+           if not ok then
+             Format.printf "  crc %s: %.1f MB/s < 2x byte-at-a-time %.1f MB/s@."
+               kind mb_s bytewise;
+           ok)
+        crc
+    in
+    Format.printf "  smoke gate (crc >= 2x byte-at-a-time, every kind): %s@."
+      (if crc_pass then "PASS" else "FAIL");
+    if not (pass && crc_pass) then exit 1
   end
   else begin
     let oc = open_out bench_ingest_file in
@@ -509,24 +633,6 @@ let bench_replay_file = "BENCH_replay.json"
 (* One line per measured variant, in the same flat JSON the event stream
    uses, so the baseline is greppable and parseable by Events.parse_line
    without a JSON dependency. *)
-(* The machine a row was measured on: cores, compiler, source revision
-   ("-dirty" when the working tree differs from it). *)
-let git_revision () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-  | exception Unix.Unix_error _ -> "unknown"
-  | ic ->
-    let rev = try input_line ic with End_of_file -> "unknown" in
-    ignore (Unix.close_process_in ic);
-    rev
-
-let machine_fields =
-  lazy
-    [
-      ("nproc", Events.Int (Domain.recommended_domain_count ()));
-      ("ocaml_version", Events.Str Sys.ocaml_version);
-      ("git_rev", Events.Str (git_revision ()));
-    ]
-
 let bench_replay_line ~scheme ~variant ~jobs ~scale ~instances ~delays ~wall_s
     ~speedup =
   let buf = Buffer.create 256 in
@@ -1065,7 +1171,8 @@ let () =
        watermark, so the demonstration needs a process that has not
        already materialized the reproduction caches.  Full mode
        (re)writes the BENCH_ingest.json baseline; --smoke is the CI
-       gate (bit-identity plus mmap >= read throughput). *)
+       gate (bit-identity, mmap >= read throughput, and every buffer
+       kind's CRC >= 2x a byte-at-a-time loop). *)
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
     let scale =
       (* Smoke runs at scale 4: big enough that the replay phases take

@@ -584,15 +584,8 @@ let replay_batches ~what ?events:ev ?(jobs = 1) scheme ~delays ~program ~table
 
 let run_many_stream ?events ?jobs scheme ~delays rd =
   replay_batches ~what:"Replay.run_many_stream" ?events ?jobs scheme ~delays
-    ~program:(Stream.program rd) ~table:(Stream.table rd) (fun batch ->
-      match Stream.next rd with
-      | Error e -> Error e
-      | Ok None -> Ok false
-      | Ok (Some c) ->
-        Batch.fill_of_chunk batch ~ids:c.Stream.ids ~arrivals:c.Stream.arrivals;
-        Ok true)
+    ~program:(Stream.program rd) ~table:(Stream.table rd) (Stream.next_batch rd)
 
-(* Over the zero-copy reader, frames decode straight into the batch. *)
 let run_many_mapped ?events ?jobs scheme ~delays m =
   replay_batches ~what:"Replay.run_many_mapped" ?events ?jobs scheme ~delays
     ~program:(Stream.Mapped.program m) ~table:(Stream.Mapped.table m)

@@ -453,7 +453,12 @@ module Server = struct
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error (_, _, _) -> on_eof t conn
     | 0 -> on_eof t conn
-    | n -> feed_bytes t conn (Bytes.sub_string t.t_scratch 0 n) 0 n
+    | n ->
+      (* No copy: [feed_bytes] never retains [data] — [Decoder.feed] and
+         the handshake [Buffer] both copy what they keep before
+         returning — so the scratch buffer may be read in place and
+         reused by the next read. *)
+      feed_bytes t conn (Bytes.unsafe_to_string t.t_scratch) 0 n
 
   let handle_write _t conn cl =
     let len = String.length cl.cl_reply - cl.cl_off in

