@@ -17,6 +17,50 @@ let heading title =
   Format.printf "%s@." title;
   Format.printf "============================================================@."
 
+(* Interleaved timing for the gated benches.  Variants are sampled
+   round-robin, each round starting one variant further on, so a host
+   speed-regime flip (about 1.4x on shared 2-core hosts, lasting seconds
+   to minutes) lands on every variant alike instead of on whichever one
+   ran during it, and no variant always runs first.  Each sample
+   repeats its call until it lasts at least [min_s] (one call when 0),
+   so timer granularity stays small against it.  Returns
+   [samples.(v).(round)], seconds per call. *)
+let interleaved ~min_s ~rounds (variants : (unit -> unit) array) =
+  let reps =
+    Array.map
+      (fun f ->
+         let t0 = Unix.gettimeofday () in
+         f ();
+         let once = Unix.gettimeofday () -. t0 in
+         max 1 (int_of_float (Float.ceil (min_s /. Float.max once 1e-6))))
+      variants
+  in
+  let nv = Array.length variants in
+  let samples = Array.make_matrix nv rounds 0.0 in
+  for round = 0 to rounds - 1 do
+    for i = 0 to nv - 1 do
+      let v = (round + i) mod nv in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps.(v) do
+        variants.(v) ()
+      done;
+      samples.(v).(round) <-
+        (Unix.gettimeofday () -. t0) /. float_of_int reps.(v)
+    done
+  done;
+  samples
+
+let median xs =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+(* Median over rounds of [a.(r) /. b.(r)]: each ratio compares two
+   samples taken back to back, so it cancels drift that the per-variant
+   medians would still carry. *)
+let median_ratio a b = median (Array.map2 ( /. ) a b)
+
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks: one per table/figure kernel, plus the      *)
 (* profiling primitives whose costs the paper's argument rests on.      *)
@@ -560,72 +604,78 @@ let events_overhead_demo ~scale =
   let recorded = Suite.record ~scale bench in
   let n = Recorder.num_instances recorded in
   Format.printf "  trace: %d instances, %d paths@." n (Recorder.num_paths recorded);
-  let time f =
-    (* Best of 15: emission cost is per *window*, so the signal is small;
-       the minimum is the standard noise-resistant estimator for "how
-       fast can this go". *)
-    List.fold_left
-      (fun (best_t, _) (t, r) -> if t < best_t then (t, r) else (best_t, r))
-      (infinity, f ())
-      (List.init 15 (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           let r = f () in
-           (Unix.gettimeofday () -. t0, r)))
-  in
-  let baseline_s, baseline =
-    time (fun () -> Replay.run (module Net) ~delay:50 recorded)
-  in
-  (* A null sink must behave exactly like not passing events at all. *)
-  let disabled_s, disabled =
-    time (fun () ->
-        Replay.run ~events:(Replay.events Events.null) (module Net) ~delay:50
-          recorded)
-  in
   let path = Filename.temp_file "hotpath_events" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  (* The sink is opened once, outside the timed region: the claim priced
-     here is per-window emission, not file open/close. *)
-  let sink = Events.open_file path in
-  let enabled_s, enabled =
-    Fun.protect
-      ~finally:(fun () -> Events.close sink)
-      (fun () ->
-         time (fun () ->
-             Replay.run
-               ~events:(Replay.events ~window:Replay.default_events_window sink)
-               (module Net) ~delay:50 recorded))
+  let ok =
+    Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    @@ fun () ->
+    (* The sink is opened once, outside the timed region: the claim
+       priced here is per-window emission, not file open/close. *)
+    let sink = Events.open_file path in
+    Fun.protect ~finally:(fun () -> Events.close sink) @@ fun () ->
+    let baseline () = Replay.run (module Net) ~delay:50 recorded in
+    (* A null sink must behave exactly like not passing events at all. *)
+    let disabled () =
+      Replay.run ~events:(Replay.events Events.null) (module Net) ~delay:50
+        recorded
+    in
+    let enabled () =
+      Replay.run
+        ~events:(Replay.events ~window:Replay.default_events_window sink)
+        (module Net) ~delay:50 recorded
+    in
+    let identical o o' =
+      o.Replay.predictions = o'.Replay.predictions
+      && o.Replay.predicted_at = o'.Replay.predicted_at
+      && o.Replay.freq = o'.Replay.freq
+      && o.Replay.captured = o'.Replay.captured
+      && o.Replay.profiled_instances = o'.Replay.profiled_instances
+      && o.Replay.counter_space = o'.Replay.counter_space
+      && o.Replay.profiling_ops = o'.Replay.profiling_ops
+      && o.Replay.collection_ops = o'.Replay.collection_ops
+    in
+    let reference = baseline () in
+    let same =
+      identical reference (disabled ()) && identical reference (enabled ())
+    in
+    let events_per_run = Events.emitted sink in
+    (* Emission cost is per *window*, so the signal is small against
+       sample-to-sample noise (on a shared 2-core host, paired 50 ms
+       samples spread 0.86-1.19 in noisy periods, because the host's speed
+       regime flips faster than 100 ms).  So the samples are one replay
+       each, as short as the trace makes them, and many: the three
+       variants run round-robin and each overhead is the median of 301
+       per-round ratios to the baseline replay that ran next to it. *)
+    let samples =
+      interleaved ~min_s:0.0 ~rounds:301
+        [|
+          (fun () -> ignore (baseline ()));
+          (fun () -> ignore (disabled ()));
+          (fun () -> ignore (enabled ()));
+        |]
+    in
+    let baseline_s = median samples.(0) in
+    let overhead v = (median_ratio samples.(v) samples.(0) -. 1.0) *. 100.0 in
+    let disabled_pct = overhead 1 and enabled_pct = overhead 2 in
+    Format.printf "  baseline (no events):      %.3fs (%.2e instances/s)@."
+      baseline_s (float_of_int n /. baseline_s);
+    Format.printf "  null sink (disabled):      %.3fs (%+.2f%%)@."
+      (median samples.(1)) disabled_pct;
+    Format.printf "  file sink (every %d):    %.3fs (%+.2f%%), %d events/run@."
+      Replay.default_events_window (median samples.(2)) enabled_pct
+      events_per_run;
+    Format.printf "  outcomes bit-identical across all three: %b@." same;
+    let disabled_ok = disabled_pct < 1.0 and enabled_ok = enabled_pct < 3.0 in
+    Format.printf "  overhead within budget (<1%% disabled, <3%% enabled): %b@."
+      (disabled_ok && enabled_ok);
+    same && disabled_ok && enabled_ok
   in
-  let lines = ref (Events.emitted sink) in
-  let overhead t = ((t -. baseline_s) /. baseline_s) *. 100.0 in
-  Format.printf "  baseline (no events):      %.3fs (%.2e instances/s)@."
-    baseline_s (float_of_int n /. baseline_s);
-  Format.printf "  null sink (disabled):      %.3fs (%+.2f%%)@." disabled_s
-    (overhead disabled_s);
-  Format.printf "  file sink (every %d):    %.3fs (%+.2f%%), %d events@."
-    Replay.default_events_window enabled_s (overhead enabled_s) !lines;
-  let identical o o' =
-    o.Replay.predictions = o'.Replay.predictions
-    && o.Replay.predicted_at = o'.Replay.predicted_at
-    && o.Replay.freq = o'.Replay.freq
-    && o.Replay.captured = o'.Replay.captured
-    && o.Replay.profiled_instances = o'.Replay.profiled_instances
-    && o.Replay.counter_space = o'.Replay.counter_space
-    && o.Replay.profiling_ops = o'.Replay.profiling_ops
-    && o.Replay.collection_ops = o'.Replay.collection_ops
-  in
-  let same = identical baseline disabled && identical baseline enabled in
-  Format.printf "  outcomes bit-identical across all three: %b@." same;
-  let disabled_ok = overhead disabled_s < 1.0
-  and enabled_ok = overhead enabled_s < 3.0 in
-  Format.printf "  overhead within budget (<1%% disabled, <3%% enabled): %b@."
-    (disabled_ok && enabled_ok);
-  if not (same && disabled_ok && enabled_ok) then exit 1
+  (* Exit only after the sink is closed and the file removed. *)
+  if not ok then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Replay kernel benchmark: packed loop vs monomorphized kernel vs      *)
-(* chunk-sharded parallel replay, with bit-identity checks and a        *)
-(* recorded baseline (BENCH_replay.json)                                *)
+(* session batches, with bit-identity checks and a recorded baseline    *)
+(* (BENCH_replay.json)                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let bench_replay_file = "BENCH_replay.json"
@@ -633,7 +683,7 @@ let bench_replay_file = "BENCH_replay.json"
 (* One line per measured variant, in the same flat JSON the event stream
    uses, so the baseline is greppable and parseable by Events.parse_line
    without a JSON dependency. *)
-let bench_replay_line ~scheme ~variant ~jobs ~scale ~instances ~delays ~wall_s
+let bench_replay_line ~scheme ~variant ~scale ~instances ~delays ~wall_s
     ~speedup =
   let buf = Buffer.create 256 in
   Events.emit (Events.of_buffer buf) ~kind:"bench_replay"
@@ -641,7 +691,6 @@ let bench_replay_line ~scheme ~variant ~jobs ~scale ~instances ~delays ~wall_s
     @ [
       ("scheme", Events.Str scheme);
       ("variant", Events.Str variant);
-      ("jobs", Events.Int jobs);
       ("scale", Events.Float scale);
       ("instances", Events.Int instances);
       ("delays", Events.Int delays);
@@ -677,7 +726,6 @@ let baseline_speedup ~scheme =
               Events.kind fields = Some "bench_replay"
               && Events.find_str fields "scheme" = Some scheme
               && Events.find_str fields "variant" = Some "kernel"
-              && Events.find_int fields "jobs" = Some 1
             then Events.find_float fields "speedup_vs_packed"
             else acc
         in
@@ -776,122 +824,64 @@ let kernel_bench ~smoke ~scale =
          (List.for_all2 outcome_equal reference kernel);
        check
          (Printf.sprintf "%s: session batches == packed loop" name)
-         (List.for_all2 outcome_equal reference (session_run packed));
-       List.iter
-         (fun jobs ->
-            let sharded = Replay.run_many ~jobs packed ~delays recorded in
-            check
-              (Printf.sprintf "%s: chunk-sharded jobs=%d == serial" name jobs)
-              (List.for_all2 outcome_equal reference sharded))
-         [ 2; 4 ])
+         (List.for_all2 outcome_equal reference (session_run packed)))
     schemes;
-  (* Event streams must merge back into the exact serial byte sequence,
-     is_hot sampling included (the closure runs on worker domains). *)
-  let hot =
-    Hot_set.compute
-      ~freq:(Recorder.frequencies recorded)
-      ~total_flow:n ~threshold:Suite.hot_threshold
-  in
-  let event_bytes jobs =
-    let buf = Buffer.create 65_536 in
-    let ev =
-      Replay.events ~window:8_192 ~is_hot:(Hot_set.is_hot hot)
-        (Events.of_buffer buf)
-    in
-    ignore (Replay.run_many ~events:ev ~jobs (module Net) ~delays recorded);
-    Buffer.contents buf
-  in
-  let serial_events = event_bytes 1 in
-  check "net: event stream jobs=4 byte-identical to serial"
-    (String.length serial_events > 0 && event_bytes 4 = serial_events);
-  (* Timings: best-of, same delay set everywhere, throughput in trace
-     instances/s (n / wall — the multiplexed pass makes one logical
-     traversal of the trace at every job count; jobs>1 shards that
-     traversal into chunks instead of re-walking it per shard). *)
-  (* Best-of over enough reps that the minimum is stable: the smoke
-     scaling gates compare two minima, and at smoke scale a single
-     descheduled rep can swing one side by 30%. *)
-  let reps = if smoke then 5 else 5 in
-  let time f =
-    ignore (f ());
-    List.fold_left min infinity
-      (List.init reps (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           ignore (f ());
-           Unix.gettimeofday () -. t0))
-  in
+  (* Timings: the three variants of a scheme sampled round-robin
+     ([interleaved]); throughput in trace instances/s (n / wall — the
+     multiplexed pass makes one traversal of the trace for all lanes).
+     Every ratio, printed, recorded and gated, is the median of
+     per-round ratios. *)
   let lines = ref [] in
-  let report ~scheme ~variant ~jobs ~packed_s wall_s =
-    let speedup = packed_s /. wall_s in
-    Format.printf "  %-12s %-10s jobs=%d  %8.3fs  %10.2e instances/s  %5.2fx@."
-      scheme variant jobs wall_s
+  let report ~scheme ~variant ~speedup wall_s =
+    Format.printf "  %-16s %-8s %8.4fs  %10.2e instances/s  %5.2fx@." scheme
+      variant wall_s
       (float_of_int n /. wall_s)
       speedup;
     lines :=
-      bench_replay_line ~scheme ~variant ~jobs ~scale ~instances:n ~delays:k
-        ~wall_s ~speedup
+      bench_replay_line ~scheme ~variant ~scale ~instances:n ~delays:k ~wall_s
+        ~speedup
       :: !lines
   in
   let measured =
     List.map
       (fun (name, packed, generic) ->
-         let packed_s = time (fun () -> Replay.run_many generic ~delays recorded) in
-         report ~scheme:name ~variant:"packed" ~jobs:1 ~packed_s packed_s;
-         let kernel_s = time (fun () -> Replay.run_many packed ~delays recorded) in
-         report ~scheme:name ~variant:"kernel" ~jobs:1 ~packed_s kernel_s;
-         let session_s = time (fun () -> session_run packed) in
-         report ~scheme:name ~variant:"session" ~jobs:1 ~packed_s session_s;
-         (* Full scheme x jobs matrix: a scaling regression in any kernel
-            must be visible in the baseline, not just net's. *)
-         let sharded_s =
-           List.map
-             (fun jobs ->
-                let t =
-                  time (fun () -> Replay.run_many ~jobs packed ~delays recorded)
-                in
-                report ~scheme:name ~variant:"kernel" ~jobs ~packed_s t;
-                (jobs, t))
-             [ 2; 4 ]
+         let t =
+           interleaved ~min_s:0.05 ~rounds:9
+             [|
+               (fun () -> ignore (Replay.run_many generic ~delays recorded));
+               (fun () -> ignore (Replay.run_many packed ~delays recorded));
+               (fun () -> ignore (session_run packed));
+             |]
          in
-         (name, packed_s /. kernel_s, kernel_s, sharded_s, session_s))
+         report ~scheme:name ~variant:"packed" ~speedup:1.0 (median t.(0));
+         let speedup = median_ratio t.(0) t.(1) in
+         report ~scheme:name ~variant:"kernel" ~speedup (median t.(1));
+         report ~scheme:name ~variant:"session"
+           ~speedup:(median_ratio t.(0) t.(2))
+           (median t.(2));
+         (name, speedup, median_ratio t.(1) t.(2)))
       schemes
   in
   if smoke then begin
     (* Floor gate: a monomorphized kernel that loses to the packed loop
        it replaces is a regression outright, whatever the baseline file
-       says.  Every scheme is held to >= 1.0x (measured best-of-5 on
-       both sides, so the ratio is stable even at smoke scale); the
-       flattened k-trie is additionally held to the 1.5x it was built to
-       deliver over the hashtable walk. *)
+       says.  Every scheme is held to >= 1.0x; the flattened k-trie is
+       additionally held to the 1.5x it was built to deliver over the
+       hashtable walk. *)
     List.iter
-      (fun (name, ratio, _, _, _) ->
+      (fun (name, ratio, _) ->
          check
            (Printf.sprintf "%s: kernel %.2fx >= 1.0x over packed" name ratio)
            (ratio >= 1.0))
       measured;
     (match
-       List.find_opt (fun (name, _, _, _, _) -> name = "path-profile-k2") measured
+       List.find_opt (fun (name, _, _) -> name = "path-profile-k2") measured
      with
-     | Some (_, ratio, _, _, _) ->
+     | Some (_, ratio, _) ->
        check
          (Printf.sprintf
             "path-profile-k2: flattened trie %.2fx >= 1.5x over packed" ratio)
          (ratio >= 1.5)
-     | None -> ());
-    (* Aggregate throughput floor for the NET fast engine: at jobs=4 the
-       multiplexed sweep must clear 1e8 lane-instances/s (n * delay
-       lanes / wall).  The loop-index engine replays from per-recording
-       run summaries, so this holds even clamped to one worker. *)
-    (match List.find_opt (fun (name, _, _, _, _) -> name = "net") measured with
-     | Some (_, _, _, sharded_s, _) ->
-       (match List.assoc_opt 4 sharded_s with
-        | None -> ()
-        | Some t4 ->
-          let aggregate = float_of_int (n * k) /. t4 in
-          check
-            (Printf.sprintf
-               "net: jobs=4 aggregate %.2e >= 1e8 lane-instances/s" aggregate)
-            (aggregate >= 1e8))
      | None -> ());
     (* Session gate: the recording pushed through a [Session] as
        batches runs the same kernel as the in-memory replay, plus one
@@ -899,8 +889,7 @@ let kernel_bench ~smoke ~scale =
        keep >= 0.8x of the kernel's instances/s; a session that fell
        back to the generic walker runs at the packed loop's 0.3-0.4x. *)
     List.iter
-      (fun (name, _, kernel_s, _, session_s) ->
-         let ratio = kernel_s /. session_s in
+      (fun (name, _, ratio) ->
          check
            (Printf.sprintf "%s: session %.2fx of kernel inst/s >= 0.8x" name
               ratio)
@@ -911,7 +900,7 @@ let kernel_bench ~smoke ~scale =
        machine, so it transfers across hosts where raw instances/s does
        not.  >5% below the recorded ratio fails. *)
     List.iter
-      (fun (name, measured, _, _, _) ->
+      (fun (name, measured, _) ->
          (* The ratio gate covers the paper's schemes only: the k-kernels'
             packed->kernel ratio hovers near 1x (they strip module
             indirection but keep the per-instance trie/counter walk), so
@@ -929,42 +918,6 @@ let kernel_bench ~smoke ~scale =
                   "%s: kernel speedup %.2fx within 5%% of baseline %.2fx" name
                   measured recorded_speedup)
                (measured >= floor))
-      measured;
-    (* Scaling gate: chunk sharding must never make more cores a
-       regression again — jobs=4 at least matches jobs=1 on the net
-       kernel, on this machine, right now. *)
-    List.iter
-      (fun (name, _, kernel_s, sharded_s, _) ->
-         if name = "net" then
-           match List.assoc_opt 4 sharded_s with
-           | None -> ()
-           | Some t4 ->
-             check
-               (Printf.sprintf
-                  "net: jobs=4 throughput %.2e >= jobs=1 %.2e inst/s"
-                  (float_of_int n /. t4)
-                  (float_of_int n /. kernel_s))
-               (t4 <= kernel_s)
-         else if name = "path-profile-k2" then
-           (* The k-trie kernel has no compressed-summary fast path:
-              each lane group re-walks the instance stream, so at smoke
-              scale the parallel gain and the cross-domain memory
-              contention are the same order and the measured t4/t1
-              ratio spans 0.8-1.4 run to run (on a core-starved CI box
-              jobs=4 even clamps to one worker).  The gate therefore
-              allows 50% slack — above that noise band, still well
-              below the >=2x signature of the lane re-walk regression
-              class this gate exists to catch. *)
-           match List.assoc_opt 4 sharded_s with
-           | None -> ()
-           | Some t4 ->
-             check
-               (Printf.sprintf
-                  "path-profile-k2: jobs=4 %.2e vs jobs=1 %.2e inst/s (50%% \
-                   slack)"
-                  (float_of_int n /. t4)
-                  (float_of_int n /. kernel_s))
-               (t4 <= kernel_s *. 1.5))
       measured
   end
   else begin
@@ -1087,8 +1040,8 @@ let serve_bench ~smoke ~scale =
           (latency, ok))
     in
     let results =
-      Pool.map ~cap:false ~jobs:n_clients per_client
-        (List.init n_clients Fun.id)
+      Pool.with_domain_limit n_clients (fun () ->
+          Pool.map ~jobs:n_clients per_client (List.init n_clients Fun.id))
       |> List.concat
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -1140,10 +1093,10 @@ let () =
        match the no-events baseline, and per-window emission to a real
        file must stay under 3% of throughput. *)
     events_overhead_demo
-      ~scale:(if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 32.0);
+      ~scale:(if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 4.0);
   if mode = "kernel" then begin
-    (* Packed loop vs monomorphized kernels vs lane-parallel sharding.
-       Full mode measures a 1M+-instance trace and (re)writes the
+    (* Packed loop vs monomorphized kernels vs session batches.  Full
+       mode measures a 1M+-instance trace and (re)writes the
        BENCH_replay.json baseline; --smoke is the CI gate — identity
        assertions plus a ratio regression check against that baseline. *)
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in

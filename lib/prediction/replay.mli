@@ -6,7 +6,12 @@
     instance is profiled.  A prediction made at instance [i] takes effect
     for instances after [i] — the triggering instance itself is still
     profiled flow, giving the paper's [captured = freq - τ] accounting for
-    path-profile-based prediction. *)
+    path-profile-based prediction.
+
+    Every entry point — in-memory, streamed and mapped — creates one
+    {!Session.Engine} for all of its delay lanes and walks the instance
+    stream through it once, serially, in trace order.  There is no
+    second engine and no replay-level scheduling option. *)
 
 type prediction = Session.prediction = {
   target : int;  (** Predicted path id. *)
@@ -68,48 +73,22 @@ val run :
   outcome
 (** @raise Invalid_argument when [delay < 1]. *)
 
-val default_chunk : int
-(** 65,536 instances — the default chunk size for sharded replay,
-    measured fastest on the net kernel (big enough to amortize seam
-    bookkeeping, small enough to keep chunk-local side arrays in
-    cache). *)
-
 val run_many :
   ?events:events ->
-  ?jobs:int ->
-  ?chunk:int ->
   Scheme.packed ->
   delays:int list ->
   Hotpath_trace.Recorder.t ->
   outcome list
 (** Multiplexed replay: one scheme state per delay, all driven through a
-    {e single} traversal of the instance stream.  Returns one outcome per
-    delay, in the given order, each bit-identical to the corresponding
-    [run ~delay] — the scheme states are independent, so multiplexing is
-    purely an amortization of the trace walk (delay sweeps drop from
-    O(delays × trace) to O(trace) instance reads).
-
-    [jobs] (default 1) parallelizes along the {e instance stream}: the
-    trace is segmented into contiguous chunks of [chunk] instances
-    (default {!default_chunk}), each chunk is replayed with scheme state
-    carried across the seam, and per-chunk counters merge into the
-    serial totals.  For the built-in NET and path-profile kernels the
-    chunked engine replays from compressed per-chunk summaries (loop-head
-    event positions and same-head runs) rather than re-walking raw
-    instances, which is why [jobs = 4] beats [jobs = 1] even though the
-    work still fans out over at most [min jobs (available domains)]
-    workers ({!Hotpath_util.Pool.effective_workers} — the raw [jobs] ask
-    never oversubscribes a small machine).  Results are byte-identical
-    to [jobs = 1] for every job count and chunk size — the seam-carry
-    protocol is property-tested [merged ≡ serial] per scheme, including
-    the event stream: windows are buffered per worker and merged back
-    into the exact serial emission order.  {!instance_reads} counts the
-    logical traversal once ([+ length trace]) regardless of [jobs].
-    When [jobs > 1] and events carry an [is_hot] closure, that closure
-    is called from worker domains and must be domain-safe (the hot-set
-    predicates in {!Hotpath_metrics} are pure array lookups).
-    @raise Invalid_argument when any delay is [< 1], [jobs < 1] or
-    [chunk < 1]. *)
+    {e single} serial traversal of the instance stream.  Returns one
+    outcome per delay, in the given order, each bit-identical to the
+    corresponding [run ~delay] — the scheme states are independent, so
+    multiplexing is purely an amortization of the trace walk (delay
+    sweeps drop from O(delays × trace) to O(trace) instance reads).
+    {!instance_reads} counts the traversal once ([+ length trace]).
+    Parallelism belongs a level up: the experiment layer fans whole
+    benchmarks over domains ({!Hotpath_util.Pool}).
+    @raise Invalid_argument when any delay is [< 1]. *)
 
 (** {1 Engines}
 
@@ -137,8 +116,6 @@ module Make (S : Scheme.S) : sig
 
   val run_many :
     ?events:events ->
-    ?jobs:int ->
-    ?chunk:int ->
     delays:int list ->
     Hotpath_trace.Recorder.t ->
     outcome list
@@ -160,7 +137,6 @@ val run_stream :
 
 val run_many_stream :
   ?events:events ->
-  ?jobs:int ->
   Scheme.packed ->
   delays:int list ->
   Hotpath_trace.Serialize.Stream.reader ->
@@ -168,15 +144,10 @@ val run_many_stream :
 (** Multiplexed streamed replay; single traversal of the chunk stream,
     one outcome per delay, each identical to the materialized
     [run ~delay].  An empty [delays] returns [Ok []] without touching
-    the reader.
-
-    [jobs] (default 1) fans each decoded HOTPATH3 frame chunk out over
-    contiguous lane groups (clamped to the domain budget, like
-    {!run_many}); lane state carries across chunk seams inside its
-    owning group, so results and the merged event stream are
-    byte-identical at every job count, and {!instance_reads} still
-    counts the stream once.
-    @raise Invalid_argument when any delay is [< 1] or [jobs < 1]. *)
+    the reader.  Each decoded instance frame is walked through the one
+    engine as it arrives; lane state carries across frame seams, and
+    {!instance_reads} counts the stream once.
+    @raise Invalid_argument when any delay is [< 1]. *)
 
 val run_mapped :
   ?events:events ->
@@ -194,25 +165,19 @@ val run_mapped :
 
 val run_many_mapped :
   ?events:events ->
-  ?jobs:int ->
   Scheme.packed ->
   delays:int list ->
   Hotpath_trace.Serialize.Stream.Mapped.t ->
   (outcome list, string) result
 (** Multiplexed {!run_mapped}; the mapped counterpart of
-    {!run_many_stream}, with the same lane-group fan-out and the same
-    byte-identity guarantees at every job count.  All lane groups replay
-    the same shared batch concurrently (sessions only read it during a
-    push), so jobs > 1 adds no decode work and no extra copies.
-    @raise Invalid_argument when any delay is [< 1] or [jobs < 1]. *)
+    {!run_many_stream}, with the same byte-identity guarantees.
+    @raise Invalid_argument when any delay is [< 1]. *)
 
 val instance_reads : unit -> int
-(** Total logical instance-stream reads performed by {!run}/{!run_many}
-    since the last {!reset_instance_reads} — the observable backing the
-    one-pass guarantee of {!run_many} ([run_many ~delays] adds
-    [length trace], not [length delays * length trace], and [?jobs]
-    does not change that: sharding parallelizes the one logical
-    traversal, it never multiplies it). *)
+(** Total instance-stream reads performed by every replay in this
+    module since the last {!reset_instance_reads} — the observable
+    backing the one-pass guarantee of {!run_many} ([run_many ~delays]
+    adds [length trace], not [length delays * length trace]). *)
 
 val reset_instance_reads : unit -> unit
 

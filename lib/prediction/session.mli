@@ -52,14 +52,8 @@ type outcome = {
 (** One delay lane's result; identical to [Replay.outcome] (which is a
     re-export of this type). *)
 
-type events = {
-  ev_sink : Events.sink;
-  ev_window : int;
-  ev_is_hot : (int -> bool) option;
-}
-(** Event-emission configuration, shared with [Replay].  Exposed
-    concretely so drivers can rebind [ev_sink] (per-group line buffers in
-    parallel replay). *)
+type events
+(** Event-emission configuration, shared with [Replay]. *)
 
 val default_events_window : int
 

@@ -7,10 +7,9 @@
    in-memory recording feed the very same loop with no conversion.
 
    A batch is a scratch buffer owned by whoever fills it.  Consumers
-   (session walkers, replay lane groups) may read [ids]/[arrs] for
-   indices [0, n), concurrently from several domains, but must never
-   retain the arrays past the call that handed them the batch: the next
-   fill reuses the same storage. *)
+   (session and replay walkers) may read [ids]/[arrs] for indices
+   [0, n), but must never retain the arrays past the call that handed
+   them the batch: the next fill reuses the same storage. *)
 
 type t = {
   mutable n : int;  (* valid prefix length of both arrays below *)

@@ -25,7 +25,8 @@ type 'a queue = {
    runtime".  [with_domain_limit 1] simulates a 1-core machine (the
    oversubscription clamp becomes observable anywhere), and a limit
    above the real core count forces genuine multi-domain fan-out on
-   small CI machines so merge paths are exercised. *)
+   small CI machines — the only way to get a known concurrent worker
+   count there. *)
 let domain_limit = Atomic.make 0
 
 let available_domains () =
@@ -42,8 +43,6 @@ let with_domain_limit limit f =
 let clamp_jobs jobs =
   if jobs < 1 then invalid_arg "Pool: jobs must be >= 1";
   min jobs (available_domains ())
-
-let effective_workers ~jobs = clamp_jobs jobs
 
 let default_jobs () = available_domains ()
 
@@ -64,15 +63,9 @@ let take q n =
 let poison q e =
   with_lock q (fun () -> if q.failure = None then q.failure <- Some e)
 
-let map_array ?(cap = true) ~jobs f items =
+let map_array ~jobs f items =
   let n = Array.length items in
-  let workers =
-    if cap then min (clamp_jobs jobs) (max 1 n)
-    else begin
-      if jobs < 1 then invalid_arg "Pool: jobs must be >= 1";
-      min jobs (max 1 n)
-    end
-  in
+  let workers = min (clamp_jobs jobs) (max 1 n) in
   if workers <= 1 || n <= 1 then Array.map f items
   else begin
     let q =
@@ -115,6 +108,6 @@ let map_array ?(cap = true) ~jobs f items =
         results
   end
 
-let map ?cap ~jobs f xs = Array.to_list (map_array ?cap ~jobs f (Array.of_list xs))
+let map ~jobs f xs = Array.to_list (map_array ~jobs f (Array.of_list xs))
 
-let iter ?cap ~jobs f xs = ignore (map ?cap ~jobs f xs)
+let iter ~jobs f xs = ignore (map ~jobs f xs)

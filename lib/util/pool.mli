@@ -4,9 +4,14 @@
     [jobs] domains concurrently (the calling domain included), and returns
     the results {e in input order} — parallelism never changes what a
     caller observes, only how fast it arrives.  The worker count is capped
-    at {!Domain.recommended_domain_count}, so over-asking on a small
-    machine degrades gracefully; [jobs = 1] runs inline with no domain
-    machinery at all.
+    at the machine's domain budget ({!Domain.recommended_domain_count},
+    or {!with_domain_limit}), so over-asking on a small machine degrades
+    gracefully; [jobs = 1] runs inline with no domain machinery at all.
+
+    The unit of work is coarse — one benchmark's recording, one figure
+    cell, one serve client — never a slice of a single replay: replay is
+    one serial walk, because fanning its chunks over domains measured
+    slower than walking them inline (EXPERIMENTS.md).
 
     If a job raises, the remaining queued jobs are abandoned, every worker
     is drained, and the first exception is re-raised in the caller.
@@ -21,34 +26,21 @@ val default_jobs : unit -> int
     [--jobs] default for CPU-bound sweeps.  Honours
     {!with_domain_limit}. *)
 
-val effective_workers : jobs:int -> int
-(** [min jobs (available domains)] — the worker count a capped
-    {!map_array} call with [jobs] would actually use.  Callers whose
-    fan-out width must match the real domain budget (replay's chunk
-    engine shards work by this number, never by the raw [jobs] ask)
-    compute it here so a [jobs = 8] request on a 1-core machine runs one
-    worker instead of oversubscribing eight domains.
-    @raise Invalid_argument when [jobs < 1]. *)
-
 val with_domain_limit : int -> (unit -> 'a) -> 'a
 (** [with_domain_limit n f] runs [f] with the machine's domain budget
     overridden to [n] (both directions: [1] simulates a single-core
     machine; a large [n] forces real multi-domain fan-out on small CI
-    hosts).  Affects {!default_jobs}, {!effective_workers} and capped
-    {!map_array} calls for the dynamic extent of [f]; restored on exit,
-    exceptions included.  The override is process-global — intended for
-    tests, not for concurrent production use.
+    hosts — the way to get a known number of concurrent workers, e.g.
+    for a barrier test).  Affects {!default_jobs} and every {!map} for
+    the dynamic extent of [f]; restored on exit, exceptions included.
+    The override is process-global — intended for tests and benches,
+    not for concurrent production use.
     @raise Invalid_argument when [n < 1]. *)
 
-val map : ?cap:bool -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [cap] (default [true]) limits workers to the machine's domain
-    budget ({!effective_workers}).  [~cap:false] honours [jobs] exactly
-    and can oversubscribe a small machine — an escape hatch for tests
-    that need a known concurrent worker count (e.g. barrier tests);
-    production fan-out should stay capped and size its shards with
-    {!effective_workers} instead.
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** Runs [min jobs (available domains) (length xs)] workers.
     @raise Invalid_argument when [jobs < 1]. *)
 
-val map_array : ?cap:bool -> jobs:int -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
-val iter : ?cap:bool -> jobs:int -> ('a -> unit) -> 'a list -> unit
+val iter : jobs:int -> ('a -> unit) -> 'a list -> unit

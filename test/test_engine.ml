@@ -134,8 +134,8 @@ let test_sessions_kernel_vs_generic () =
          builtins)
     (fixtures ())
 
-(* In-memory replay over the recording's own arrays, and the chunked
-   lane groups of [?jobs], against the generic walker's session. *)
+(* In-memory replay over the recording's own arrays against the generic
+   walker's session. *)
 let test_replay_kernel_vs_generic () =
   List.iter
     (fun (fname, r) ->
@@ -146,11 +146,7 @@ let test_replay_kernel_vs_generic () =
             in
             let label = Printf.sprintf "%s/%s" fname sname in
             Test_session.check_outcomes (label ^ "/run_many") generic.outcomes
-              (Replay.run_many packed ~delays r);
-            Test_session.check_outcomes (label ^ "/run_many jobs=3")
-              generic.outcomes
-              (Hotpath_util.Pool.with_domain_limit 3 (fun () ->
-                   Replay.run_many ~jobs:3 ~chunk:101 packed ~delays r)))
+              (Replay.run_many packed ~delays r))
          builtins)
     (fixtures ())
 

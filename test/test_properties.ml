@@ -14,13 +14,13 @@ module Net = Hotpath_prediction.Net
 module Path_profile = Hotpath_prediction.Path_profile
 module Branch_profile = Hotpath_prediction.Branch_profile
 module Replay = Hotpath_prediction.Replay
+module Session = Hotpath_prediction.Session
 module Hot_set = Hotpath_metrics.Hot_set
 module Rates = Hotpath_metrics.Rates
 module Ball_larus = Hotpath_profiling.Ball_larus
 module Cost_model = Hotpath_dynamo.Cost_model
 module Engine = Hotpath_dynamo.Engine
 module Prng = Hotpath_util.Prng
-module Pool = Hotpath_util.Pool
 
 (* ------------------------------------------------------------------ *)
 (* Random workload specs                                               *)
@@ -341,76 +341,19 @@ let prop_run_many_stream_equals_run_many =
            (module Path_profile);
          ])
 
-let prop_run_many_stream_jobs_equals_serial =
-  QCheck.Test.make
-    ~name:"run_many_stream ?jobs == serial stream (all schemes)" ~count:10
-    QCheck.(pair arb_workload (int_range 2 4))
-    (fun (((_, seed) as w), jobs) ->
-       let _, recorded = record_spec w in
-       (* Moderate frame chunks: each decoded chunk is one fan-out round,
-          so frame size controls how many seams the lane groups cross. *)
-       let rd () =
-         Serialize.Stream.of_recorder
-           ~chunk_instances:(64 + (seed mod 97))
-           recorded
-       in
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       List.for_all
-         (fun scheme ->
-            match Replay.run_many_stream scheme ~delays (rd ()) with
-            | Error _ -> false
-            | Ok serial ->
-              Pool.with_domain_limit 4 (fun () ->
-                  match
-                    Replay.run_many_stream ~jobs scheme ~delays (rd ())
-                  with
-                  | Error _ -> false
-                  | Ok sharded -> List.for_all2 outcome_equal serial sharded))
-         [
-           (module Net : Scheme.S);
-           (module Net.Net_once);
-           (module Net.Last_executed_tail);
-           (module Path_profile);
-         ]
-       &&
-       (* The streamed event merge must also reproduce serial bytes. *)
-       let stream_bytes jobs =
-         let buf = Buffer.create 4_096 in
-         let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
-         match
-           Replay.run_many_stream ~events:ev ~jobs (module Net) ~delays (rd ())
-         with
-         | Error _ -> None
-         | Ok _ -> Some (Buffer.contents buf)
-       in
-       match stream_bytes 1 with
-       | None -> false
-       | Some serial ->
-         serial <> ""
-         && Pool.with_domain_limit 4 (fun () -> stream_bytes jobs = Some serial))
-
 let prop_run_many_single_pass =
-  QCheck.Test.make
-    ~name:"run_many reads the trace exactly once, at every job count"
-    ~count:20 arb_workload
+  QCheck.Test.make ~name:"run_many reads the trace exactly once" ~count:20
+    arb_workload
     (fun w ->
        let _, recorded = record_spec w in
        let n = Recorder.num_instances recorded in
        let delays = [ 1; 5; 25; 125; 625 ] in
-       let reads_of jobs =
-         let before = Replay.instance_reads () in
-         ignore (Replay.run_many ~jobs (module Net) ~delays recorded);
-         Replay.instance_reads () - before
-       in
-       (* ?jobs parallelizes the one logical traversal — the documented
-          [+ length trace] must hold whether the fan-out is clamped away
-          (1-core machine) or running on real domains. *)
-       reads_of 1 = n
-       && reads_of 4 = n
-       && Pool.with_domain_limit 4 (fun () -> reads_of 4 = n))
+       let before = Replay.instance_reads () in
+       ignore (Replay.run_many (module Net) ~delays recorded);
+       Replay.instance_reads () - before = n)
 
 (* ------------------------------------------------------------------ *)
-(* Monomorphized kernels and lane sharding                             *)
+(* Monomorphized kernels and chunk seams                               *)
 (* ------------------------------------------------------------------ *)
 
 (* The packed entry points dispatch the built-in schemes to specialized
@@ -451,13 +394,13 @@ let prop_functor_equals_packed =
              fun ~delay r -> Make_pp.run ~delay r );
          ])
 
-(* The chunk-seam hand-off is the correctness core of sharded replay:
-   scheme state carries across every chunk boundary, so any chunking of
-   the instance stream must replay to the same bits as the serial walk.
-   Chunk size and worker count are orthogonal axes — the seam protocol
-   is exercised under a simulated 1-core machine (inline, every chunk a
-   seam), the domain fan-out and merge under a forced 4-domain budget
-   so both run regardless of the CI host's real core count. *)
+(* The seam hand-off is the correctness core of every chunked surface
+   (streamed, mapped and served replay all push the trace frame by
+   frame): scheme state carries across every chunk boundary, so any
+   chunking of the instance stream must replay to the same bits as the
+   one serial walk.  Adversarial chunk sizes: every instance a seam, a
+   prime that never aligns with anything, one chunk spanning past the
+   end. *)
 let seam_schemes =
   [
     (module Net : Scheme.S);
@@ -466,82 +409,49 @@ let seam_schemes =
     (module Path_profile);
   ]
 
+let pushed_in_chunks scheme ~delays ~chunk recorded =
+  let n = Recorder.num_instances recorded in
+  match
+    Session.create scheme ~delays ~program:recorded.Recorder.program
+      ~table:recorded.Recorder.table
+  with
+  | Error _ -> None
+  | Ok sess ->
+    let rec push lo =
+      if lo >= n then Some (Session.finish sess)
+      else
+        let len = min chunk (n - lo) in
+        match
+          Session.push_chunk sess
+            ~ids:(Array.sub recorded.Recorder.instances lo len)
+            ~arrivals:(Bytes.sub recorded.Recorder.arrivals lo len)
+        with
+        | Error _ -> None
+        | Ok () -> push (lo + len)
+    in
+    push 0
+
+let seams_equal_serial schemes ~chunks recorded =
+  let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
+  List.for_all
+    (fun scheme ->
+       let serial = Replay.run_many scheme ~delays recorded in
+       List.for_all
+         (fun chunk ->
+            match pushed_in_chunks scheme ~delays ~chunk recorded with
+            | None -> false
+            | Some pushed -> List.for_all2 outcome_equal serial pushed)
+         chunks)
+    schemes
+
 let prop_chunk_seam_equals_serial =
   QCheck.Test.make
-    ~name:"chunk-sharded run_many == serial (schemes x jobs x chunk)"
+    ~name:"push_chunk seams, base schemes == serial run_many (x chunk)"
     ~count:10 arb_workload
     (fun w ->
        let _, recorded = record_spec w in
        let n = Recorder.num_instances recorded in
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       (* Adversarial chunk sizes: every instance a seam, a prime that
-          never aligns with anything, one chunk spanning past the end. *)
-       let chunks = [ 1; 13; n + 1 ] in
-       List.for_all
-         (fun scheme ->
-            let serial = Replay.run_many scheme ~delays recorded in
-            Pool.with_domain_limit 1 (fun () ->
-                List.for_all
-                  (fun jobs ->
-                     List.for_all
-                       (fun chunk ->
-                          List.for_all2 outcome_equal serial
-                            (Replay.run_many ~jobs ~chunk scheme ~delays
-                               recorded))
-                       chunks)
-                  [ 1; 2; 3; 4 ]))
-         seam_schemes)
-
-let prop_multi_domain_shards_equal_serial =
-  QCheck.Test.make
-    ~name:"chunk-sharded run_many == serial on a real 4-domain budget"
-    ~count:10
-    QCheck.(pair arb_workload (int_range 2 9))
-    (fun (w, jobs) ->
-       let _, recorded = record_spec w in
-       (* More jobs than the budget is legal: the fan-out clamps. *)
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       List.for_all
-         (fun scheme ->
-            let serial = Replay.run_many scheme ~delays recorded in
-            Pool.with_domain_limit 4 (fun () ->
-                List.for_all2 outcome_equal serial
-                  (Replay.run_many ~jobs ~chunk:37 scheme ~delays recorded)))
-         seam_schemes)
-
-let prop_sharded_events_byte_identical =
-  (* Chunk-sharded replay samples into per-worker buffers that are
-     merged after the join; the merged stream must reproduce the serial
-     emission to the byte, window samples and is_hot hits/noise
-     included.  Forced 4-domain budget so the merge path runs even on a
-     1-core CI machine. *)
-  QCheck.Test.make
-    ~name:"chunk-sharded event stream is byte-identical to serial" ~count:15
-    QCheck.(pair arb_workload (int_range 2 6))
-    (fun (w, jobs) ->
-       let _, recorded = record_spec w in
-       let n = Recorder.num_instances recorded in
-       n = 0
-       ||
-       let hot =
-         Hot_set.compute
-           ~freq:(Recorder.frequencies recorded)
-           ~total_flow:n ~threshold:0.01
-       in
-       let stream_bytes jobs =
-         let buf = Buffer.create 4_096 in
-         let ev =
-           Replay.events ~window:97 ~is_hot:(Hot_set.is_hot hot)
-             (Hotpath_util.Events.of_buffer buf)
-         in
-         ignore
-           (Replay.run_many ~events:ev ~jobs ~chunk:61 (module Net)
-              ~delays:[ 1; 3; 7; 20; 100 ] recorded);
-         Buffer.contents buf
-       in
-       let serial = stream_bytes 1 in
-       String.length serial > 0
-       && Pool.with_domain_limit 4 (fun () -> stream_bytes jobs = serial))
+       seams_equal_serial seam_schemes ~chunks:[ 1; 13; n + 1 ] recorded)
 
 let prop_replay_capture_monotone_in_delay =
   QCheck.Test.make ~name:"captured flow shrinks as delay grows" ~count:30
@@ -554,15 +464,13 @@ let prop_replay_capture_monotone_in_delay =
        captured 2 >= captured 8 && captured 8 >= captured 64)
 
 (* ------------------------------------------------------------------ *)
-(* Batched decode: generic-walker fan-out and the mapped reader        *)
+(* Generic-walker seams and the mapped reader                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Under ?jobs the generic Make(S) walker re-packs each chunk once into
-   a dense shared batch and fans it out over the lane groups.  That
-   branch only engages when *every* lane compiles to the generic walker,
-   so these twins eta-expand the member the kernel dispatch keys on —
-   [observe] for the base schemes, [create] for the k-iteration families
-   (whose [observe] is shared across every k). *)
+(* Twins that run the generic walker: they eta-expand the member the
+   kernel dispatch keys on — [observe] for the base schemes, [create]
+   for the k-iteration families (whose [observe] is shared across every
+   k). *)
 module Net_generic : Scheme.S = struct
   include Net
 
@@ -592,33 +500,16 @@ module Pp_k2_generic : Scheme.S = struct
   let create ~delay ~program = Pp_k2.create ~delay ~program
 end
 
-let prop_batch_fanout_equals_serial =
+let prop_kernel_seams_equal_serial =
   (* Covers what [prop_chunk_seam_equals_serial] cannot: the k-iteration
-     kernels and the generic batch fan-out.  Adversarial chunk sizes
-     (every instance a seam; one chunk spanning past the end) run under
-     a simulated 1-core budget where the fan-out is inline — a real
-     4-domain spawn per 1-instance chunk would cost minutes, not test
-     more — and the true multi-domain fan-out runs at chunk sizes that
-     give every domain real work per round. *)
+     kernels and the generic walkers, across the same adversarial seams. *)
   QCheck.Test.make
-    ~name:"batched fan-out == serial (k-kernels + generic walkers x chunk)"
-    ~count:8
-    QCheck.(pair arb_workload (int_range 2 4))
-    (fun (w, jobs) ->
+    ~name:"push_chunk seams, k-kernels + generic walkers == serial (x chunk)"
+    ~count:8 arb_workload
+    (fun w ->
        let _, recorded = record_spec w in
        let n = Recorder.num_instances recorded in
-       let delays = [ 1; 3; 7; 20; 100; 5_000 ] in
-       List.for_all
-         (fun scheme ->
-            let serial = Replay.run_many scheme ~delays recorded in
-            let sharded ~chunk =
-              List.for_all2 outcome_equal serial
-                (Replay.run_many ~jobs ~chunk scheme ~delays recorded)
-            in
-            Pool.with_domain_limit 1 (fun () ->
-                sharded ~chunk:1 && sharded ~chunk:13)
-            && Pool.with_domain_limit 4 (fun () ->
-                sharded ~chunk:37 && sharded ~chunk:(n + 1)))
+       seams_equal_serial
          [
            (module Net_k2 : Scheme.S);
            (module Pp_k2);
@@ -626,18 +517,15 @@ let prop_batch_fanout_equals_serial =
            (module Pp_generic);
            (module Net_k2_generic);
            (module Pp_k2_generic);
-         ])
+         ]
+         ~chunks:[ 1; 13; n + 1 ] recorded)
 
 let prop_run_many_mapped_equals_serial =
   (* The zero-copy mapped driver against the materialized reference:
-     same outcomes and byte-identical event streams for every scheme, at
-     jobs=1 and under a forced multi-domain fan-out (where all lane
-     groups walk one shared batch). *)
-  QCheck.Test.make
-    ~name:"run_many_mapped == run_many (+ events), serial and fanned out"
-    ~count:10
-    QCheck.(pair arb_workload (int_range 2 4))
-    (fun (((_, seed) as w), jobs) ->
+     same outcomes and byte-identical event streams for every scheme. *)
+  QCheck.Test.make ~name:"run_many_mapped == run_many (+ events)" ~count:10
+    arb_workload
+    (fun ((_, seed) as w) ->
        let _, recorded = record_spec w in
        let blob =
          Serialize.Stream.to_string ~chunk_instances:(64 + (seed mod 97))
@@ -652,37 +540,29 @@ let prop_run_many_mapped_equals_serial =
        List.for_all
          (fun scheme ->
             let materialized = Replay.run_many scheme ~delays recorded in
-            let check ?jobs () =
-              match Replay.run_many_mapped ?jobs scheme ~delays (mapped ()) with
-              | Error _ -> false
-              | Ok ms ->
-                List.length ms = List.length delays
-                && List.for_all2 outcome_equal materialized ms
-            in
-            check ()
-            && Pool.with_domain_limit 4 (fun () -> check ~jobs ()))
+            match Replay.run_many_mapped scheme ~delays (mapped ()) with
+            | Error _ -> false
+            | Ok ms ->
+              List.length ms = List.length delays
+              && List.for_all2 outcome_equal materialized ms)
          seam_schemes
        &&
-       let mapped_bytes jobs =
+       let event_bytes replay =
          let buf = Buffer.create 4_096 in
-         let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
-         match
-           Replay.run_many_mapped ~events:ev ~jobs (module Net) ~delays
-             (mapped ())
-         with
-         | Error _ -> None
-         | Ok _ -> Some (Buffer.contents buf)
+         replay (Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf));
+         Buffer.contents buf
        in
        let reference =
-         let buf = Buffer.create 4_096 in
-         let ev = Replay.events ~window:97 (Hotpath_util.Events.of_buffer buf) in
-         ignore (Replay.run_many ~events:ev (module Net) ~delays recorded);
-         Buffer.contents buf
+         event_bytes (fun ev ->
+             ignore (Replay.run_many ~events:ev (module Net) ~delays recorded))
        in
        Recorder.num_instances recorded = 0
        || String.length reference > 0
-          && mapped_bytes 1 = Some reference
-          && Pool.with_domain_limit 4 (fun () -> mapped_bytes jobs = Some reference))
+          && event_bytes (fun ev ->
+                 ignore
+                   (Replay.run_many_mapped ~events:ev (module Net) ~delays
+                      (mapped ())))
+             = reference)
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form vs operational rates (Section 3)                        *)
@@ -778,14 +658,11 @@ let suites =
         QCheck_alcotest.to_alcotest prop_run_many_equals_per_delay_runs;
         QCheck_alcotest.to_alcotest prop_functor_equals_packed;
         QCheck_alcotest.to_alcotest prop_chunk_seam_equals_serial;
-        QCheck_alcotest.to_alcotest prop_multi_domain_shards_equal_serial;
-        QCheck_alcotest.to_alcotest prop_sharded_events_byte_identical;
         QCheck_alcotest.to_alcotest prop_run_many_single_pass;
         QCheck_alcotest.to_alcotest prop_stream_roundtrip;
         QCheck_alcotest.to_alcotest prop_run_stream_equals_run;
         QCheck_alcotest.to_alcotest prop_run_many_stream_equals_run_many;
-        QCheck_alcotest.to_alcotest prop_run_many_stream_jobs_equals_serial;
-        QCheck_alcotest.to_alcotest prop_batch_fanout_equals_serial;
+        QCheck_alcotest.to_alcotest prop_kernel_seams_equal_serial;
         QCheck_alcotest.to_alcotest prop_run_many_mapped_equals_serial;
         QCheck_alcotest.to_alcotest prop_rates_closed_form_exact_for_path_profile;
         QCheck_alcotest.to_alcotest prop_rates_closed_form_undershoots_for_net_once;

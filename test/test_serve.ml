@@ -298,15 +298,16 @@ let test_fault_isolation () =
         List.iter
           (fun (name, bad_trace, code) ->
             let results =
-              Pool.map ~cap:false ~jobs:2
-                (fun role ->
-                  if role = 0 then
-                    send_exn ~socket_path ~tenant:("bad-" ^ name) ~delays
-                      bad_trace
-                  else
-                    send_exn ~socket_path ~tenant:("good-" ^ name) ~delays
-                      trace)
-                [ 0; 1 ]
+              Pool.with_domain_limit 2 (fun () ->
+                  Pool.map ~jobs:2
+                    (fun role ->
+                      if role = 0 then
+                        send_exn ~socket_path ~tenant:("bad-" ^ name) ~delays
+                          bad_trace
+                      else
+                        send_exn ~socket_path ~tenant:("good-" ^ name) ~delays
+                          trace)
+                    [ 0; 1 ])
             in
             (match results with
             | [ bad; good ] ->
@@ -411,7 +412,7 @@ let test_concurrent_soak () =
     with_server ~queue_capacity (fun socket_path ->
         let replies =
           Pool.with_domain_limit (writers + 1) (fun () ->
-              Pool.map ~cap:false ~jobs:writers
+              Pool.map ~jobs:writers
                 (fun w ->
                   List.init tenants_each (fun k ->
                       let tenant = Printf.sprintf "soak-%d-%d" w k in
