@@ -11,6 +11,7 @@
 
 open Hotpath
 module Crc32 = Hotpath_util.Crc32
+module Segmenter = Hotpath_trace.Segmenter
 
 let heading title =
   Format.printf "@.============================================================@.";
@@ -23,9 +24,10 @@ let heading title =
    to minutes) lands on every variant alike instead of on whichever one
    ran during it, and no variant always runs first.  Each sample
    repeats its call until it lasts at least [min_s] (one call when 0),
-   so timer granularity stays small against it.  Returns
-   [samples.(v).(round)], seconds per call. *)
-let interleaved ~min_s ~rounds (variants : (unit -> unit) array) =
+   so timer granularity stays small against it.  [prepare] runs
+   untimed before every sample.  Returns [samples.(v).(round)], seconds
+   per call. *)
+let interleaved ?(prepare = ignore) ~min_s ~rounds (variants : (unit -> unit) array) =
   let reps =
     Array.map
       (fun f ->
@@ -40,6 +42,7 @@ let interleaved ~min_s ~rounds (variants : (unit -> unit) array) =
   for round = 0 to rounds - 1 do
     for i = 0 to nv - 1 do
       let v = (round + i) mod nv in
+      prepare ();
       let t0 = Unix.gettimeofday () in
       for _ = 1 to reps.(v) do
         variants.(v) ()
@@ -706,11 +709,13 @@ let bench_replay_line ~scheme ~variant ~scale ~instances ~delays ~wall_s
     ];
   Buffer.contents buf
 
-(* The committed baseline's packed->kernel speedup for one scheme: the
-   one number in BENCH_replay.json that is a machine-independent ratio,
-   which is why the smoke regression gate keys on it rather than on
-   absolute instances/s. *)
-let baseline_speedup ~scheme =
+(* The committed baseline's packed->kernel speedup for one scheme at one
+   scale: the one number in BENCH_replay.json that is a
+   machine-independent ratio, which is why the smoke regression gate
+   keys on it rather than on absolute instances/s.  The ratio moves with
+   trace size (about 3x at scale 2, 2.1-2.4x at scale 16), so a gate
+   must read the row of the scale it ran at. *)
+let baseline_speedup ~scheme ~scale =
   match open_in bench_replay_file with
   | exception Sys_error _ -> None
   | ic ->
@@ -726,6 +731,7 @@ let baseline_speedup ~scheme =
               Events.kind fields = Some "bench_replay"
               && Events.find_str fields "scheme" = Some scheme
               && Events.find_str fields "variant" = Some "kernel"
+              && Events.find_float fields "scale" = Some scale
             then Events.find_float fields "speedup_vs_packed"
             else acc
         in
@@ -749,7 +755,12 @@ let outcome_equal (a : Replay.outcome) (b : Replay.outcome) =
   && a.Replay.profiling_ops = b.Replay.profiling_ops
   && a.Replay.collection_ops = b.Replay.collection_ops
 
-let kernel_bench ~smoke ~scale =
+let kernel_smoke_scale = 2.0
+
+(* One kernel measurement at [scale]; returns its BENCH_replay.json rows.
+   [smoke] runs the CI gates against the committed rows of this scale;
+   [min_instances] rejects a trace too short to time. *)
+let kernel_bench ~smoke ~scale ~min_instances =
   heading
     (Printf.sprintf "Replay kernels — deltablue at scale %.1f%s" scale
        (if smoke then " (smoke)" else ""));
@@ -760,8 +771,8 @@ let kernel_bench ~smoke ~scale =
   let k = List.length delays in
   Format.printf "  trace: %d instances, %d paths; %d delay lanes@." n
     (Recorder.num_paths recorded) k;
-  if (not smoke) && n < 1_000_000 then begin
-    Format.printf "  FAIL: full kernel bench requires >= 1M instances@.";
+  if n < min_instances then begin
+    Format.printf "  FAIL: full kernel bench requires >= %d instances@." min_instances;
     exit 1
   end;
   let ok = ref true in
@@ -907,9 +918,10 @@ let kernel_bench ~smoke ~scale =
             a 5% band on it would gate on noise.  Their rows still land
             in the baseline file for trend reading. *)
          if List.mem name [ "net"; "path-profile" ] then
-           match baseline_speedup ~scheme:name with
+           match baseline_speedup ~scheme:name ~scale with
            | None ->
-             Format.printf "  %s: no baseline in %s@." name bench_replay_file;
+             Format.printf "  %s: no scale-%.1f baseline in %s@." name scale
+               bench_replay_file;
              ok := false
            | Some recorded_speedup ->
              let floor = 0.95 *. recorded_speedup in
@@ -919,12 +931,249 @@ let kernel_bench ~smoke ~scale =
                   measured recorded_speedup)
                (measured >= floor))
       measured
+  end;
+  if not !ok then exit 1;
+  List.rev !lines
+
+(* ------------------------------------------------------------------ *)
+(* Recorder benchmark: recording rates per benchmark and the VM /       *)
+(* segmenter / path-table split, with a byte-identity check against the *)
+(* golden digests and a recorded baseline (BENCH_record.json)           *)
+(* ------------------------------------------------------------------ *)
+
+let bench_record_file = "BENCH_record.json"
+
+let record_smoke_scale = 1.0
+
+let record_digest_fixture = "test/fixtures/golden/record_digest.expected"
+
+let bench_record_line fields =
+  let buf = Buffer.create 256 in
+  Events.emit (Events.of_buffer buf) ~kind:"bench_record"
+    (Lazy.force machine_fields @ fields);
+  Buffer.contents buf
+
+(* The committed ratio of full record to the bare VM walk for one
+   benchmark at one scale: the last such row in the file, so a rerun
+   appended after older revisions' rows is the one in force. *)
+let baseline_record_ratio ~bench ~scale =
+  match open_in bench_record_file with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan acc =
+      match input_line ic with
+      | exception End_of_file -> acc
+      | line ->
+        let acc =
+          match Events.parse_line line with
+          | Ok fields
+            when Events.kind fields = Some "bench_record"
+                 && Events.find_str fields "bench" = Some bench
+                 && Events.find_str fields "variant" = Some "record"
+                 && Events.find_float fields "scale" = Some scale ->
+            Events.find_float fields "ratio_vs_vm"
+          | _ -> acc
+        in
+        scan acc
+    in
+    let v = scan None in
+    close_in ic;
+    v
+
+(* Rewrite the baseline file: rows of other revisions stay (they are the
+   "before" of a later change), rows of this revision are replaced. *)
+let write_record_rows lines =
+  let rev = Events.Str (git_revision ()) in
+  let kept =
+    match open_in bench_record_file with
+    | exception Sys_error _ -> []
+    | ic ->
+      let rec scan acc =
+        match input_line ic with
+        | exception End_of_file -> List.rev acc
+        | line ->
+          (match Events.parse_line line with
+           | Ok fields when List.assoc_opt "git_rev" fields = Some rev -> scan acc
+           | _ -> scan ((line ^ "\n") :: acc))
+      in
+      let kept = scan [] in
+      close_in ic;
+      kept
+  in
+  let oc = open_out bench_record_file in
+  List.iter (output_string oc) (kept @ lines);
+  close_out oc;
+  Format.printf "  wrote %s@." bench_record_file
+
+(* [hotpath record --stream] bytes of every benchmark at scale 0.05 must
+   hash to the digests the golden fixture pins. *)
+let check_record_digests check =
+  let expected =
+    match open_in record_digest_fixture with
+    | exception Sys_error e -> failwith e
+    | ic ->
+      let rec scan acc =
+        match input_line ic with
+        | exception End_of_file -> acc
+        | line -> (
+            match String.split_on_char ' ' line with
+            | name :: _ :: _ :: stream :: _ -> scan ((name, stream) :: acc)
+            | _ -> scan acc)
+      in
+      let v = scan [] in
+      close_in ic;
+      v
+  in
+  List.iter
+    (fun b ->
+       let buf = Buffer.create 65_536 in
+       ignore (Suite.record_stream ~scale:0.05 b ~sink:(Buffer.add_string buf));
+       let stream = "stream=" ^ Digest.to_hex (Digest.string (Buffer.contents buf)) in
+       check
+         (Printf.sprintf "%s: stream digest matches %s" b.Suite.b_name
+            (Filename.basename record_digest_fixture))
+         (List.assoc_opt b.Suite.b_name expected = Some stream))
+    Suite.all
+
+(* The recorder's layers over the same block budget, sampled round-robin:
+   the bare VM walk, the VM under [Segmenter.next] (the recording loop
+   without the table), and [Recorder.record] (plus the path-table probe
+   and the instance buffer).  Returns the per-variant samples and the
+   recording. *)
+let record_split ~rounds b ~scale =
+  let i = Suite.inputs ~scale b in
+  let rng () = Prng.create ~seed:i.Suite.i_rng_seed in
+  let record () =
+    Recorder.record ~max_paths:i.Suite.i_max_paths ~max_steps:i.Suite.i_max_steps
+      i.Suite.i_program i.Suite.i_behavior ~rng:(rng ())
+  in
+  let r = record () in
+  let blocks = r.Recorder.vm_stats.Vm.blocks in
+  let vm_walk () =
+    let vm = Vm.create i.Suite.i_program i.Suite.i_behavior ~rng:(rng ()) in
+    while vm.Vm.executed < blocks && Vm.step vm do
+      ()
+    done
+  in
+  let segment_walk () =
+    let vm = Vm.create i.Suite.i_program i.Suite.i_behavior ~rng:(rng ()) in
+    let seg = Segmenter.create i.Suite.i_program in
+    while Segmenter.next seg vm ~max_steps:blocks do
+      ()
+    done
+  in
+  (* One call per sample, so a round's three samples sit close enough
+     in time to share the host's speed; each starts from a collected
+     heap, so one variant's garbage is not another's major-GC work. *)
+  let t =
+    interleaved ~prepare:Gc.full_major ~min_s:0.0 ~rounds
+      [| vm_walk; segment_walk; (fun () -> ignore (record ())) |]
+  in
+  (t, r)
+
+let record_bench ~smoke ~scale =
+  heading
+    (Printf.sprintf "Recorder — rates and layer split at scale %.1f%s" scale
+       (if smoke then " (smoke)" else ""));
+  let ok = ref true in
+  let check label cond =
+    Format.printf "  %-60s %s@." label (if cond then "ok" else "FAIL");
+    if not cond then ok := false
+  in
+  check_record_digests check;
+  let lines = ref [] in
+  let row fields = lines := bench_record_line fields :: !lines in
+  let split ~scale name =
+    let b = Suite.find_exn name in
+    (* Per-round ratios scatter by about 15% on a shared host: the
+       gated smoke scale takes 101 rounds, so their median holds to a
+       few percent; the full-scale split is read, not gated. *)
+    let rounds = if scale = record_smoke_scale then 101 else 21 in
+    let t, r = record_split ~rounds b ~scale in
+    let n = Recorder.num_instances r and blocks = r.Recorder.vm_stats.Vm.blocks in
+    let ratio = median_ratio t.(2) t.(0) in
+    List.iteri
+      (fun v variant ->
+         let wall_s = median t.(v) in
+         let ratio_vs_vm = if v = 0 then 1.0 else median_ratio t.(v) t.(0) in
+         Format.printf "  %-10s %-13s %8.4fs  %10.2e blocks/s  %5.2fx of vm@." name
+           variant wall_s
+           (float_of_int blocks /. wall_s)
+           ratio_vs_vm;
+         row
+           [
+             ("bench", Events.Str name);
+             ("variant", Events.Str variant);
+             ("scale", Events.Float scale);
+             ("instances", Events.Int n);
+             ("blocks", Events.Int blocks);
+             ("paths", Events.Int (Recorder.num_paths r));
+             ("wall_s", Events.Float wall_s);
+             ("inst_per_s", Events.Float (float_of_int n /. wall_s));
+             ("blocks_per_s", Events.Float (float_of_int blocks /. wall_s));
+             ("ratio_vs_vm", Events.Float ratio_vs_vm);
+           ])
+      [ "vm"; "vm+segmenter"; "record" ];
+    (name, ratio)
+  in
+  let split_benches = [ "gcc"; "deltablue" ] in
+  if smoke then begin
+    (* Regression gate: full record over the bare VM walk is a ratio of
+       two loops over the same blocks on the same machine, so it
+       transfers across hosts where raw blocks/s does not.  More than 5%
+       above the committed row at this scale fails. *)
+    List.iter
+      (fun name ->
+         let _, ratio = split ~scale name in
+         match baseline_record_ratio ~bench:name ~scale with
+         | None ->
+           Format.printf "  %s: no scale-%.1f baseline in %s@." name scale
+             bench_record_file;
+           ok := false
+         | Some recorded ->
+           check
+             (Printf.sprintf "%s: record %.2fx of vm within 5%% of baseline %.2fx"
+                name ratio recorded)
+             (ratio <= 1.05 *. recorded))
+      split_benches
   end
   else begin
-    let oc = open_out bench_replay_file in
-    List.iter (output_string oc) (List.rev !lines);
-    close_out oc;
-    Format.printf "  wrote %s@." bench_replay_file
+    (* The split at the smoke scale the CI gate reads comes first, so
+       it runs in the same process state as [--smoke] (a heap grown by
+       the scale-4 runs shifts the ratio); then every benchmark's
+       recording rate (median of three) and the split at full scale. *)
+    List.iter (fun name -> ignore (split ~scale:record_smoke_scale name)) split_benches;
+    List.iter
+      (fun b ->
+         let i = Suite.inputs ~scale b in
+         let record () =
+           Recorder.record ~max_paths:i.Suite.i_max_paths
+             ~max_steps:i.Suite.i_max_steps i.Suite.i_program i.Suite.i_behavior
+             ~rng:(Prng.create ~seed:i.Suite.i_rng_seed)
+         in
+         let t = interleaved ~min_s:0.0 ~rounds:3 [| (fun () -> ignore (record ())) |] in
+         let r = record () in
+         let wall_s = median t.(0) in
+         let n = Recorder.num_instances r and blocks = r.Recorder.vm_stats.Vm.blocks in
+         Format.printf "  %-10s %9d inst %10d blocks %8.3fs  %9.2e inst/s  %9.2e blocks/s@."
+           b.Suite.b_name n blocks wall_s
+           (float_of_int n /. wall_s)
+           (float_of_int blocks /. wall_s);
+         row
+           [
+             ("bench", Events.Str b.Suite.b_name);
+             ("variant", Events.Str "rate");
+             ("scale", Events.Float scale);
+             ("instances", Events.Int n);
+             ("blocks", Events.Int blocks);
+             ("paths", Events.Int (Recorder.num_paths r));
+             ("wall_s", Events.Float wall_s);
+             ("inst_per_s", Events.Float (float_of_int n /. wall_s));
+             ("blocks_per_s", Events.Float (float_of_int blocks /. wall_s));
+           ])
+      Suite.all;
+    List.iter (fun name -> ignore (split ~scale name)) split_benches;
+    write_record_rows (List.rev !lines)
   end;
   if not !ok then exit 1
 
@@ -1096,16 +1345,39 @@ let () =
       ~scale:(if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 4.0);
   if mode = "kernel" then begin
     (* Packed loop vs monomorphized kernels vs session batches.  Full
-       mode measures a 1M+-instance trace and (re)writes the
-       BENCH_replay.json baseline; --smoke is the CI gate — identity
-       assertions plus a ratio regression check against that baseline. *)
+       mode measures a 1M+-instance trace, then the smoke scale, and
+       (re)writes the BENCH_replay.json baseline with both; --smoke is
+       the CI gate — identity assertions plus a ratio regression check
+       against the baseline rows of its own scale. *)
+    let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
+    if smoke then
+      ignore (kernel_bench ~smoke ~scale:kernel_smoke_scale ~min_instances:0)
+    else begin
+      let scale =
+        if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 16.0
+      in
+      let full = kernel_bench ~smoke ~scale ~min_instances:1_000_000 in
+      let at_smoke_scale =
+        kernel_bench ~smoke ~scale:kernel_smoke_scale ~min_instances:0
+      in
+      let oc = open_out bench_replay_file in
+      List.iter (output_string oc) (full @ at_smoke_scale);
+      close_out oc;
+      Format.printf "  wrote %s@." bench_replay_file
+    end
+  end;
+  if mode = "record" then begin
+    (* Recording rates and the VM / segmenter / table split.  Full mode
+       (re)writes this revision's rows of BENCH_record.json, at full and
+       at smoke scale; --smoke is the CI gate: golden stream digests plus
+       the record-over-VM ratio against the committed smoke-scale row. *)
     let smoke = Array.length Sys.argv > 2 && Sys.argv.(2) = "--smoke" in
     let scale =
-      if smoke then 2.0
+      if smoke then record_smoke_scale
       else if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2)
-      else 16.0
+      else 4.0
     in
-    kernel_bench ~smoke ~scale
+    record_bench ~smoke ~scale
   end;
   if mode = "serve" then begin
     (* The serving path priced end to end: concurrent clients stream

@@ -1,41 +1,21 @@
 module Cfg = Hotpath_cfg.Cfg
-module Vm = Hotpath_vm.Vm
-module Segmenter = Hotpath_trace.Segmenter
 module Path_table = Hotpath_trace.Path_table
+module Recorder = Hotpath_trace.Recorder
 
 type outcome = { o_result : Engine.result; o_instances : int; o_paths : int }
 
-let run ?(max_steps = max_int) ?(max_paths = max_int) ?max_stack ~config program
-    behavior ~rng =
-  let vm = Vm.create ?max_stack program behavior ~rng in
-  let seg = Segmenter.create program in
+let run ?max_steps ?max_paths ?max_stack ~config program behavior ~rng =
   let table = Path_table.create () in
   let stepper =
     Engine.Stepper.create config ~program ~lookup:(Path_table.path table)
   in
-  let instances = ref 0 in
-  let rec loop () =
-    if !instances >= max_paths || Vm.blocks_executed vm >= max_steps then ()
-    else
-      match Vm.step vm with
-      | None -> ()
-      | Some tr ->
-        (match Segmenter.feed seg tr with
-         | Some c ->
-           let id =
-             Path_table.intern table c.Segmenter.c_signature
-               ~blocks:c.Segmenter.c_blocks ~n_instrs:c.Segmenter.c_n_instrs
-               ~n_branches:c.Segmenter.c_n_branches ~end_kind:c.Segmenter.c_end_kind
-           in
-           incr instances;
-           Engine.Stepper.step stepper ~path:(Path_table.path table id)
-             ~arrival:c.Segmenter.c_arrival
-         | None -> ());
-        if tr.Vm.kind = Vm.T_exit then () else loop ()
+  let summary =
+    Recorder.run ?max_steps ?max_paths ?max_stack program behavior ~rng ~table
+      ~on_instance:(fun id arrival ->
+          Engine.Stepper.step stepper ~path:(Path_table.path table id) ~arrival)
   in
-  loop ();
   {
     o_result = Engine.Stepper.finalize stepper;
-    o_instances = !instances;
-    o_paths = Path_table.size table;
+    o_instances = summary.Recorder.cs_instances;
+    o_paths = summary.Recorder.cs_paths;
   }

@@ -2,13 +2,13 @@
     one pass — no recording step.
 
     This is how a deployed system runs (the record-once/replay-many split
-    used by the experiments is an analysis optimization).  The driver owns
-    the VM, a {!Hotpath_trace} [Segmenter], and a growing path table; each
-    completed path instance goes straight through the same
-    {!Engine.Stepper} the offline replay uses, so for equal seeds the
-    online run and [Engine.run] over a recording produce {e identical}
-    results — tested, and the strongest evidence that the replay
-    methodology is faithful. *)
+    used by the experiments is an analysis optimization).  The driver runs
+    the recorder's own loop ([Hotpath_trace.Recorder.run]: VM, segmenter,
+    growing path table) and sends each completed path instance straight
+    through the same {!Engine.Stepper} the offline replay uses, so for
+    equal seeds the online run and [Engine.run] over a recording produce
+    {e identical} results — tested, and the strongest evidence that the
+    replay methodology is faithful. *)
 
 module Cfg = Hotpath_cfg.Cfg
 

@@ -546,8 +546,8 @@ module Runtime = struct
     | None -> ()
     | Some frame -> begin
         match tr.Vm.kind, tr.Vm.dst with
-        | Vm.T_branch { taken }, Some dst ->
-          intra_edge rt frame tr.Vm.src dst ~tag:(Bool.to_int taken)
+        | Vm.T_branch, Some dst ->
+          intra_edge rt frame tr.Vm.src dst ~tag:(Bool.to_int tr.Vm.taken)
         | (Vm.T_jump | Vm.T_indirect), Some dst ->
           intra_edge rt frame tr.Vm.src dst ~tag:0
         | Vm.T_call, Some dst ->
@@ -572,7 +572,7 @@ module Runtime = struct
           in
           count rt frame.f_proc (frame.f_r + inc);
           ignore (Vec.pop rt.rt_stack)
-        | (Vm.T_branch _ | Vm.T_jump | Vm.T_indirect | Vm.T_call | Vm.T_return), None
+        | (Vm.T_branch | Vm.T_jump | Vm.T_indirect | Vm.T_call | Vm.T_return), None
         | Vm.T_exit, Some _ ->
           assert false
       end

@@ -30,8 +30,8 @@ let current_window t =
 
 let on_transfer t (tr : Vm.transfer) =
   match tr.Vm.kind with
-  | Vm.T_branch { taken } ->
-    t.fifo.(t.next) <- (tr.Vm.src, taken);
+  | Vm.T_branch ->
+    t.fifo.(t.next) <- (tr.Vm.src, tr.Vm.taken);
     t.next <- (t.next + 1) mod t.size;
     t.seen <- t.seen + 1;
     if t.seen >= t.size then begin

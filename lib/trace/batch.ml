@@ -31,11 +31,20 @@ let ensure t n =
   if n > Array.length t.ids then begin
     let cap = max n (2 * Array.length t.ids) in
     let ids = Array.make cap 0 and arrs = Bytes.make cap '\000' in
-    Array.blit t.ids 0 ids 0 (Array.length t.ids);
+    (* Typed, like [fill_of_chunk]'s copy below. *)
+    for j = 0 to Array.length t.ids - 1 do
+      Array.unsafe_set ids j (Array.unsafe_get t.ids j)
+    done;
     Bytes.blit t.arrs 0 arrs 0 (Bytes.length t.arrs);
     t.ids <- ids;
     t.arrs <- arrs
   end
+
+let push t id code =
+  if t.n = Array.length t.ids then ensure t (t.n + 1);
+  Array.unsafe_set t.ids t.n id;
+  Bytes.unsafe_set t.arrs t.n code;
+  t.n <- t.n + 1
 
 let set_length t n =
   if n < 0 then invalid_arg "Batch.set_length: negative length";

@@ -35,6 +35,10 @@ val ensure : t -> int -> unit
 (** Grow {!ids}/{!arrs} to hold at least [n] instances, keeping the
     valid prefix. *)
 
+val push : t -> int -> char -> unit
+(** Append one instance: a path id and its arrival code (grows the
+    arrays as needed). *)
+
 val set_length : t -> int -> unit
 (** Declare [n] instances valid after a direct array fill (grows the
     arrays first).  @raise Invalid_argument when [n < 0]. *)

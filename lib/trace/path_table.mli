@@ -2,7 +2,14 @@
 
     The table is what a bit-tracing path profiler maintains at runtime; its
     size is the counter-space cost of path-profile-based prediction
-    (Section 5.2, Table 2, Figure 4 of the paper). *)
+    (Section 5.2, Table 2, Figure 4 of the paper).
+
+    It is an open-addressing table probed on the signature key — head,
+    length, branch bits and indirect-target hash ({!Signature.hash_key}),
+    the registers a {!Segmenter} keeps — and a key match is confirmed on
+    the full signature (the indirect-target list).  A repeat path costs
+    one probe and no allocation; {!Path.t}, its {!Signature.t} and its
+    blocks are materialized only when a path is first seen. *)
 
 module Cfg = Hotpath_cfg.Cfg
 
@@ -25,6 +32,11 @@ val intern :
     descriptive fields are taken from the first occurrence (subsequent
     occurrences of the same signature necessarily describe the same block
     sequence; this is asserted). *)
+
+val intern_completed : t -> Segmenter.t -> int
+(** {!intern} for the path the segmenter just completed, probed on its
+    key without materializing its signature or blocks unless the path is
+    new. *)
 
 val find : t -> Signature.t -> int option
 

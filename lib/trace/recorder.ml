@@ -1,7 +1,5 @@
 module Cfg = Hotpath_cfg.Cfg
 module Vm = Hotpath_vm.Vm
-module Behavior = Hotpath_vm.Behavior
-module Vec = Hotpath_util.Vec
 
 type t = {
   program : Cfg.program;
@@ -30,102 +28,71 @@ type chunked_summary = {
 
 let default_chunk_instances = 65_536
 
-let record_chunked ?(max_steps = max_int) ?(max_paths = max_int) ?max_stack
+(* The one recording loop: step the VM, feed the segmenter, intern each
+   completed path on its key.  A path cut off by fuel (or by
+   [max_paths]) is discarded: a truncated prefix is not a completed
+   path, and because non-branch transfers add no signature bits it
+   could collide with a genuine path that continues through a jump
+   chain.  A path ended by program exit is completed by the segmenter. *)
+let run ?(max_steps = max_int) ?(max_paths = max_int) ?max_stack program behavior
+    ~rng ~table ~on_instance =
+  let vm = Vm.create ?max_stack program behavior ~rng in
+  let seg = Segmenter.create program in
+  let instances = ref 0 in
+  while !instances < max_paths && Segmenter.next seg vm ~max_steps do
+    incr instances;
+    on_instance (Path_table.intern_completed table seg) seg.Segmenter.arrival
+  done;
+  { cs_instances = !instances; cs_paths = Path_table.size table; cs_vm_stats = Vm.stats vm }
+
+let record_chunked ?max_steps ?max_paths ?max_stack
     ?(chunk_instances = default_chunk_instances) program behavior ~rng ~flush
     ~finish =
   if chunk_instances < 1 then
     invalid_arg "Recorder.record_chunked: chunk_instances must be >= 1";
-  let vm = Vm.create ?max_stack program behavior ~rng in
-  let seg = Segmenter.create program in
   let table = Path_table.create () in
-  let chunk_ids = Vec.create ~capacity:(min chunk_instances 65_536) () in
-  let chunk_arrivals = Buffer.create (min chunk_instances 65_536) in
-  let total = ref 0 in
+  let chunk = Batch.create ~capacity:(min chunk_instances 65_536) () in
   let flush_chunk () =
-    if not (Vec.is_empty chunk_ids) then begin
-      flush ~table ~ids:(Vec.to_array chunk_ids)
-        ~arrivals:(Buffer.to_bytes chunk_arrivals);
-      Vec.clear chunk_ids;
-      Buffer.clear chunk_arrivals
+    let n = Batch.length chunk in
+    if n > 0 then begin
+      flush ~table ~ids:(Array.sub chunk.Batch.ids 0 n)
+        ~arrivals:(Bytes.sub chunk.Batch.arrs 0 n);
+      Batch.clear chunk
     end
   in
-  let branches = ref 0
-  and calls = ref 0
-  and returns = ref 0
-  and indirects = ref 0
-  and backward = ref 0
-  and max_stack_seen = ref 0 in
-  let rec loop () =
-    if !total >= max_paths then `Max_paths
-    else if Vm.blocks_executed vm >= max_steps then `Fuel
-    else
-      match Vm.step vm with
-      | None -> `Exited
-      | Some tr ->
-        (match tr.Vm.kind with
-         | Vm.T_branch _ -> incr branches
-         | Vm.T_call -> incr calls
-         | Vm.T_return -> incr returns
-         | Vm.T_indirect -> incr indirects
-         | Vm.T_jump | Vm.T_exit -> ());
-        if tr.Vm.backward then incr backward;
-        max_stack_seen := max !max_stack_seen (Vm.stack_depth vm);
-        (match Segmenter.feed seg tr with
-         | Some c ->
-           let id =
-             Path_table.intern table c.Segmenter.c_signature
-               ~blocks:c.Segmenter.c_blocks ~n_instrs:c.Segmenter.c_n_instrs
-               ~n_branches:c.Segmenter.c_n_branches ~end_kind:c.Segmenter.c_end_kind
-           in
-           Vec.push chunk_ids id;
-           Buffer.add_char chunk_arrivals (arrival_code c.Segmenter.c_arrival);
-           incr total;
-           if Vec.length chunk_ids >= chunk_instances then flush_chunk ()
-         | None -> ());
-        if tr.Vm.kind = Vm.T_exit then `Exited else loop ()
-  in
-  let reason = loop () in
-  (* A path cut off by fuel (or by [max_paths]) is discarded: a truncated
-     prefix is not a completed path, and because non-branch transfers add
-     no signature bits it could collide with a genuine path that continues
-     through a jump chain.  Paths ended by program exit were yielded by the
-     segmenter inside the loop. *)
-  let vm_stats =
-    {
-      Vm.reason = (match reason with `Exited -> `Exited | `Fuel | `Max_paths -> `Fuel);
-      blocks = Vm.blocks_executed vm;
-      branches = !branches;
-      calls = !calls;
-      returns = !returns;
-      indirects = !indirects;
-      backward_transfers = !backward;
-      max_stack = !max_stack_seen;
-    }
+  let summary =
+    run ?max_steps ?max_paths ?max_stack program behavior ~rng ~table
+      ~on_instance:(fun id arrival ->
+          Batch.push chunk id (arrival_code arrival);
+          if Batch.length chunk >= chunk_instances then flush_chunk ())
   in
   flush_chunk ();
-  finish ~table ~vm_stats;
-  { cs_instances = !total; cs_paths = Path_table.size table; cs_vm_stats = vm_stats }
+  finish ~table ~vm_stats:summary.cs_vm_stats;
+  summary
 
-let record ?max_steps ?max_paths ?max_stack program behavior ~rng =
-  let instances = Vec.create () in
-  let arrivals = Buffer.create 4096 in
-  let result = ref None in
-  ignore
-    (record_chunked ?max_steps ?max_paths ?max_stack program behavior ~rng
-       ~flush:(fun ~table:_ ~ids ~arrivals:arr ->
-           Array.iter (Vec.push instances) ids;
-           Buffer.add_bytes arrivals arr)
-       ~finish:(fun ~table ~vm_stats -> result := Some (table, vm_stats)));
-  match !result with
-  | None -> assert false
-  | Some (table, vm_stats) ->
-    {
-      program;
-      table;
-      instances = Vec.to_array instances;
-      arrivals = Buffer.to_bytes arrivals;
-      vm_stats;
-    }
+(* An instance budget up to [presize_limit] sizes the stream buffer up
+   front: a run that spends its budget (the usual case) then hands the
+   buffer over as the recording, with no growth copies and no garbage. *)
+let presize_limit = 1 lsl 20
+
+let record ?max_steps ?(max_paths = max_int) ?max_stack program behavior ~rng =
+  let table = Path_table.create () in
+  let all =
+    Batch.create ~capacity:(if max_paths <= presize_limit then max_paths else 65_536) ()
+  in
+  let summary =
+    run ?max_steps ~max_paths ?max_stack program behavior ~rng ~table
+      ~on_instance:(fun id arrival -> Batch.push all id (arrival_code arrival))
+  in
+  let n = Batch.length all in
+  let exact = n = Array.length all.Batch.ids in
+  {
+    program;
+    table;
+    instances = (if exact then all.Batch.ids else Array.sub all.Batch.ids 0 n);
+    arrivals = (if exact then all.Batch.arrs else Bytes.sub all.Batch.arrs 0 n);
+    vm_stats = summary.cs_vm_stats;
+  }
 
 let of_parts ~program ~table ~instances ~arrivals ~vm_stats =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

@@ -8,6 +8,12 @@
     no re-interpretation.  This is what makes the full Figure 2/3 delay
     sweeps tractable (DESIGN.md §5).
 
+    Every entry point runs one loop, {!run}: {!Hotpath_vm.Vm.step} and
+    {!Segmenter.next} allocate nothing per block, and
+    {!Path_table.intern_completed} allocates only for a path it has not
+    seen, so a recording costs about twice the bare VM walk
+    (BENCH_record.json).
+
     A recording is immutable plain data with no derived state cached on
     it: replay builds what it needs per run (per-path descriptors sized
     to the path table), so one recording can be shared freely across
@@ -48,6 +54,23 @@ type chunked_summary = {
   cs_paths : int;  (** Distinct paths interned. *)
   cs_vm_stats : Hotpath_vm.Vm.run_stats;
 }
+
+val run :
+  ?max_steps:int ->
+  ?max_paths:int ->
+  ?max_stack:int ->
+  Cfg.program ->
+  Hotpath_vm.Behavior.t ->
+  rng:Hotpath_util.Prng.t ->
+  table:Path_table.t ->
+  on_instance:(int -> Path.head_kind -> unit) ->
+  chunked_summary
+(** The recording loop every other entry point is built on: interpret
+    the program, segment it into paths, intern each completed path into
+    [table] (which should start empty) and hand its id and arrival kind
+    to [on_instance], in trace order.  Budgets and the discarded partial
+    path are as for {!record}.  The VM step, the segmenter and the table
+    probe allocate nothing per block or per repeated path. *)
 
 val default_chunk_instances : int
 (** Instances per flushed chunk when none is given (65,536). *)

@@ -10,7 +10,10 @@
 
     Paths are capped at {!max_branches} conditional branches (mirroring
     trace-length caps in real systems such as Dynamo); the history then
-    fits one [int64]. *)
+    fits one OCaml [int], so a signature under construction is a handful
+    of registers: head, length, history bits and a running hash of the
+    indirect targets ({!hash_key}).  The path table is probed on exactly
+    that key. *)
 
 module Cfg = Hotpath_cfg.Cfg
 
@@ -19,6 +22,14 @@ type t
 
 val max_branches : int
 (** Upper bound on conditional branches per path (62). *)
+
+val make :
+  head:Cfg.block_id -> length:int -> bits:int -> indirects:Cfg.block_id list -> t
+(** The signature with these parts: [bits] holds the [length] branch
+    outcomes (bit [i] = [i]-th branch), [indirects] the targets in
+    execution order.
+    @raise Invalid_argument when [length] is outside [\[0, max_branches\]]
+    or [bits] has a bit set at or above [length]. *)
 
 val head : t -> Cfg.block_id
 (** The start address. *)
@@ -30,8 +41,11 @@ val bit : t -> int -> bool
 (** [bit s i] — outcome of the [i]-th branch on the path (0-based, in
     execution order).  @raise Invalid_argument when out of range. *)
 
+val bits : t -> int
+(** History word; bit [i] is the [i]-th branch outcome. *)
+
 val history : t -> int64
-(** Raw history word; bit [i] is the [i]-th branch outcome. *)
+(** {!bits} widened to the 64-bit word the trace formats store. *)
 
 val indirect_targets : t -> Cfg.block_id list
 (** Indirect-branch targets in execution order (usually empty). *)
@@ -41,6 +55,20 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val hash : t -> int
+(** [hash_key] of the signature's parts. *)
+
+val mix_indirect : int -> Cfg.block_id -> int
+(** One step of the running indirect-target hash: fold it over the
+    targets in execution order, starting from [0]. *)
+
+val indirect_hash : t -> int
+(** The running hash of the signature's indirect targets. *)
+
+val hash_key :
+  head:Cfg.block_id -> length:int -> bits:int -> indirect_hash:int -> int
+(** Non-negative hash of a signature key: equal signatures have equal
+    keys, and a path under construction has its key in hand without
+    materializing a signature. *)
 
 val pp : Format.formatter -> t -> unit
 

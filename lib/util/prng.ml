@@ -1,40 +1,50 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in eight bytes: a mutable [int64]
+   field would box a fresh word on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer: xor-shift-multiply mixing of the advanced state. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy = Bytes.copy
 
-let split t = { state = next_int64 t }
+(* Inlined into every draw below, so the 64-bit words stay in
+   registers. *)
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (next_int64 t)
 
 let int t ~bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Masked rejection sampling keeps the draw unbiased. *)
-  let mask =
-    let rec widen m = if m >= bound - 1 then m else widen ((m lsl 1) lor 1) in
-    widen 1
-  in
-  let rec draw () =
-    let v = Int64.to_int (next_int64 t) land max_int land mask in
-    if v < bound then v else draw ()
-  in
-  draw ()
+  let mask = ref 1 in
+  while !mask < bound - 1 do
+    mask := (!mask lsl 1) lor 1
+  done;
+  let v = ref bound in
+  while !v >= bound do
+    v := Int64.to_int (next_int64 t) land max_int land !mask
+  done;
+  !v
 
-let float t =
-  (* 53 high-quality bits scaled to [0,1). *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* 53 high-quality bits scaled to [0,1). *)
+let[@inline] float t =
+  Int64.to_float (Int64.shift_right_logical (next_int64 t) 11)
+  *. (1.0 /. 9007199254740992.0)
 
 let bool t ~p =
   if p <= 0.0 then false
@@ -48,20 +58,20 @@ let pick t arr =
 let pick_weighted t ~weights =
   let n = Array.length weights in
   if n = 0 then invalid_arg "Prng.pick_weighted: empty weights";
-  let total = Array.fold_left (fun acc w ->
-      if w < 0.0 then invalid_arg "Prng.pick_weighted: negative weight";
-      acc +. w)
-      0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Prng.pick_weighted: zero total weight";
-  let target = float t *. total in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = weights.(i) in
+    if w < 0.0 then invalid_arg "Prng.pick_weighted: negative weight";
+    total := !total +. w
+  done;
+  if !total <= 0.0 then invalid_arg "Prng.pick_weighted: zero total weight";
+  let target = float t *. !total in
+  let i = ref 0 and acc = ref weights.(0) in
+  while !i < n - 1 && not (target < !acc) do
+    incr i;
+    acc := !acc +. weights.(!i)
+  done;
+  !i
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

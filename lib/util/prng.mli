@@ -5,7 +5,8 @@
     on every run.  The generator is splitmix64 (Steele, Lea & Flood 2014): a
     64-bit state advanced by a Weyl constant and finalized with a
     variant of the MurmurHash3 mixer.  It is fast, has a full 2^64 period,
-    and supports cheap splitting into independent streams. *)
+    and supports cheap splitting into independent streams.  The state is
+    kept unboxed, so a draw allocates nothing. *)
 
 type t
 (** Mutable generator state. *)

@@ -118,26 +118,27 @@ module Decider = struct
     rng : Prng.t;
     exec_counts : int array;  (* per-block execution count, drives Periodic *)
     mutable hist : int;
-    mutable step_count : int;
   }
 
-  let create program behavior ~rng =
-    ignore program;
+  let create behavior ~rng =
     {
       behavior;
       rng;
       exec_counts = Array.make (Array.length behavior.program.Cfg.blocks) 0;
       hist = 0;
-      step_count = 0;
     }
 
-  let steps t = t.step_count
+  (* Index of the schedule entry in force at [step]: the first whose
+     threshold exceeds it, else the last. *)
+  let phase_index schedule ~step =
+    let last = Array.length schedule - 1 in
+    let i = ref 0 in
+    while !i < last && step >= fst schedule.(!i) do
+      incr i
+    done;
+    !i
 
-  let history t = t.hist
-
-  let tick t = t.step_count <- t.step_count + 1
-
-  let rec eval_branch t b = function
+  let rec eval_branch t b ~step = function
     | Always v -> v
     | Bias p -> Prng.bool t.rng ~p
     | Correlated { bits; taken_prob } ->
@@ -145,32 +146,21 @@ module Decider = struct
       Prng.bool t.rng ~p:taken_prob.(idx)
     | Periodic pattern -> pattern.(t.exec_counts.(b) mod Array.length pattern)
     | Phased schedule ->
-      let model = phase_pick t schedule in
-      eval_branch t b model
+      eval_branch t b ~step (snd schedule.(phase_index schedule ~step))
 
-  and phase_pick : 'a. t -> (int * 'a) array -> 'a =
-    fun t schedule ->
-    let n = Array.length schedule in
-    let rec find i =
-      if i = n - 1 then snd schedule.(i)
-      else if t.step_count < fst schedule.(i) then snd schedule.(i)
-      else find (i + 1)
-    in
-    find 0
-
-  let decide_branch t b =
-    let outcome = eval_branch t b t.behavior.branches.(b) in
+  let decide_branch t b ~step =
+    let outcome = eval_branch t b ~step t.behavior.branches.(b) in
     t.exec_counts.(b) <- t.exec_counts.(b) + 1;
     t.hist <- ((t.hist lsl 1) lor Bool.to_int outcome) land 0xFFFF;
     outcome
 
-  let decide_indirect t b ~targets =
+  let decide_indirect t b ~targets ~step =
     let idx =
       match t.behavior.indirects.(b) with
       | Uniform_target -> Prng.int t.rng ~bound:(Array.length targets)
       | Weighted_target w -> Prng.pick_weighted t.rng ~weights:w
       | Phased_target schedule ->
-        Prng.pick_weighted t.rng ~weights:(phase_pick t schedule)
+        Prng.pick_weighted t.rng ~weights:(snd schedule.(phase_index schedule ~step))
     in
     t.exec_counts.(b) <- t.exec_counts.(b) + 1;
     targets.(idx)

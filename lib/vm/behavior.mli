@@ -67,27 +67,21 @@ val validate : t -> (unit, string) result
     sum. *)
 
 (** Decision state threaded by the VM: global branch-history register,
-    per-branch execution counts, global step count, and the random
-    stream. *)
+    per-branch execution counts, and the random stream.  The VM passes
+    its global step count (blocks executed, the current one included) to
+    each decision; step-phased models select on it. *)
 module Decider : sig
   type behavior := t
 
   type t
 
-  val create : Cfg.program -> behavior -> rng:Hotpath_util.Prng.t -> t
+  val create : behavior -> rng:Hotpath_util.Prng.t -> t
 
-  val decide_branch : t -> Cfg.block_id -> bool
+  val decide_branch : t -> Cfg.block_id -> step:int -> bool
   (** Outcome for the conditional branch at [block]; updates history and
       counts. *)
 
-  val decide_indirect : t -> Cfg.block_id -> targets:Cfg.block_id array -> Cfg.block_id
+  val decide_indirect :
+    t -> Cfg.block_id -> targets:Cfg.block_id array -> step:int -> Cfg.block_id
   (** Target choice for the indirect jump at [block]. *)
-
-  val tick : t -> unit
-  (** Advance the global step counter (one per executed block). *)
-
-  val steps : t -> int
-
-  val history : t -> int
-  (** Current global history register (low bit = most recent outcome). *)
 end

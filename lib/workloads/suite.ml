@@ -205,20 +205,34 @@ let record_phased ?(max_paths = 120_000) ?(seed = 23) () =
 
 let program b = fst (Generator.build b.b_spec ~seed:b.b_seed)
 
-let record ?(scale = 1.0) b =
-  let program, behavior = Generator.build b.b_spec ~seed:b.b_seed in
-  let max_paths = max 1000 (int_of_float (scale *. float_of_int b.b_flow)) in
-  Recorder.record ~max_paths
-    ~max_steps:(max_paths * 200)
-    program behavior
-    ~rng:(Prng.create ~seed:(b.b_seed * 7919))
+type inputs = {
+  i_program : Hotpath_cfg.Cfg.program;
+  i_behavior : Hotpath_vm.Behavior.t;
+  i_rng_seed : int;
+  i_max_paths : int;
+  i_max_steps : int;
+}
 
-(* Same budgets and seed derivation as [record], so the emitted stream
-   decodes to the recording [record] would materialize. *)
-let record_stream ?(scale = 1.0) ?chunk_instances ?events b ~sink =
+let inputs ?(scale = 1.0) b =
   let program, behavior = Generator.build b.b_spec ~seed:b.b_seed in
   let max_paths = max 1000 (int_of_float (scale *. float_of_int b.b_flow)) in
-  Hotpath_trace.Serialize.Stream.record ~max_paths
-    ~max_steps:(max_paths * 200) ?chunk_instances ?events program behavior
-    ~rng:(Prng.create ~seed:(b.b_seed * 7919))
-    ~sink
+  {
+    i_program = program;
+    i_behavior = behavior;
+    i_rng_seed = b.b_seed * 7919;
+    i_max_paths = max_paths;
+    i_max_steps = max_paths * 200;
+  }
+
+let record ?scale b =
+  let i = inputs ?scale b in
+  Recorder.record ~max_paths:i.i_max_paths ~max_steps:i.i_max_steps i.i_program
+    i.i_behavior ~rng:(Prng.create ~seed:i.i_rng_seed)
+
+(* Same inputs as [record], so the emitted stream decodes to the
+   recording [record] would materialize. *)
+let record_stream ?scale ?chunk_instances ?events b ~sink =
+  let i = inputs ?scale b in
+  Hotpath_trace.Serialize.Stream.record ~max_paths:i.i_max_paths
+    ~max_steps:i.i_max_steps ?chunk_instances ?events i.i_program i.i_behavior
+    ~rng:(Prng.create ~seed:i.i_rng_seed) ~sink

@@ -53,6 +53,21 @@ val program : benchmark -> Hotpath_cfg.Cfg.program
     and the static analyses consume.  Deterministic in [b_seed], and
     identical to the program {!record} runs. *)
 
+type inputs = {
+  i_program : Hotpath_cfg.Cfg.program;
+  i_behavior : Hotpath_vm.Behavior.t;
+  i_rng_seed : int;  (** Seed of the VM's random stream. *)
+  i_max_paths : int;  (** Instance budget. *)
+  i_max_steps : int;  (** Block budget. *)
+}
+(** Everything {!record} hands the recorder. *)
+
+val inputs : ?scale:float -> benchmark -> inputs
+(** The inputs of [record ~scale b] (default scale 1.0): the generated
+    program and behaviour, the VM seed, and the budgets — [scale *
+    b_flow] instances (minimum 1000) and 200 blocks per instance.  For
+    driving the VM or the recorder's layers on their own. *)
+
 val record : ?scale:float -> benchmark -> Recorder.t
 (** Generate the program and record [scale * b_flow] path instances
     (default scale 1.0, minimum 1000 instances).  Deterministic in

@@ -114,3 +114,36 @@ let indirect_loop ?(weights = [| 0.5; 0.5 |]) ?(exit_prob = 0.25) () =
   Behavior.set_indirect behavior b2 (Behavior.Weighted_target weights);
   Behavior.set_branch behavior b5 (Behavior.Bias (1.0 -. exit_prob));
   (program, behavior, (b0, b1, b2, b3, b4, b5, b6))
+
+(* A loop inside a callee laid out before its caller's return-to block,
+   so paths that start at the callee's loop head cross a forward,
+   unmatched return:
+
+     B0 main  --call helper, return to B4
+     B1 head  --jump--> B2
+     B2 latch --branch: taken -> B1 (backward), fall -> B3
+     B3       --return (forward, to B4)
+     B4 main  --jump--> B5
+     B5 exit
+
+   The latch alternates taken / not taken ([Periodic]). *)
+let callee_loop () =
+  let b = Cfg.Builder.create ~name:"callee_loop" in
+  let main = Cfg.Builder.add_proc b ~name:"main" in
+  let b0 = Cfg.Builder.add_block b ~proc:main ~weight:1 in
+  let helper = Cfg.Builder.add_proc b ~name:"helper" in
+  let b1 = Cfg.Builder.add_block b ~proc:helper ~weight:1 in
+  let b2 = Cfg.Builder.add_block b ~proc:helper ~weight:1 in
+  let b3 = Cfg.Builder.add_block b ~proc:helper ~weight:1 in
+  let b4 = Cfg.Builder.add_block b ~proc:main ~weight:1 in
+  let b5 = Cfg.Builder.add_block b ~proc:main ~weight:1 in
+  Cfg.Builder.set_term b b0 (Cfg.Call { callee = helper; return_to = b4 });
+  Cfg.Builder.set_term b b1 (Cfg.Jump b2);
+  Cfg.Builder.set_term b b2 (Cfg.Branch { taken = b1; fallthrough = b3 });
+  Cfg.Builder.set_term b b3 Cfg.Return;
+  Cfg.Builder.set_term b b4 (Cfg.Jump b5);
+  Cfg.Builder.set_term b b5 Cfg.Exit;
+  let program = Cfg.Builder.finish b in
+  let behavior = Behavior.create program () in
+  Behavior.set_branch behavior b2 (Behavior.Periodic [| true; false |]);
+  (program, behavior, (b0, b1, b2, b3, b4, b5))

@@ -99,6 +99,145 @@ let prop_recording_partitions_blocks =
        recorded_blocks <= recorded.Recorder.vm_stats.Hotpath_vm.Vm.blocks
        && recorded.Recorder.vm_stats.Hotpath_vm.Vm.blocks - recorded_blocks < 1_000)
 
+(* The reference recorder: the paper's path-end rules written out over
+   [Vm.run]'s transfer records, one [Signature.Builder] per path, and a
+   [Hashtbl] keyed on the materialized signature.  It shares no code
+   with the recorder's segmenter or path table, so agreement on random
+   programs checks the register signature and the key-probed table. *)
+exception Budget_spent
+
+let reference_record ~max_steps ~max_paths program behavior ~rng =
+  let module Vm = Hotpath_vm.Vm in
+  let module Signature = Hotpath_trace.Signature in
+  let module B = Signature.Builder in
+  let vm = Vm.create program behavior ~rng in
+  let ids = Hashtbl.create 64 and paths = ref [] in
+  let instances = ref [] and arrivals = ref [] and n = ref 0 in
+  let entry = Cfg.entry_block program in
+  let sigb = B.create ~head:entry in
+  let blocks = ref [ entry ] and calls = ref 0 and arrival = ref Path.Entry in
+  let complete end_kind =
+    let s = B.freeze sigb in
+    let id =
+      match Hashtbl.find_opt ids s with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length ids in
+        let blocks = Array.of_list (List.rev !blocks) in
+        let n_instrs =
+          Array.fold_left (fun a b -> a + (Cfg.block program b).Cfg.weight) 0 blocks
+        in
+        Hashtbl.add ids s id;
+        paths :=
+          { Path.id; signature = s; blocks; n_instrs; n_branches = Signature.length s;
+            end_kind }
+          :: !paths;
+        id
+    in
+    instances := id :: !instances;
+    arrivals := !arrival :: !arrivals;
+    incr n
+  in
+  let branches = ref 0 and n_calls = ref 0 and returns = ref 0 and indirects = ref 0 in
+  let backward = ref 0 and max_stack = ref 0 and blocks_run = ref 0 and exited = ref false in
+  let on_transfer (tr : Vm.transfer) =
+    incr blocks_run;
+    if tr.Vm.backward then incr backward;
+    max_stack := max !max_stack (Vm.stack_depth vm);
+    (match tr.Vm.kind with
+     | Vm.T_branch -> incr branches; B.add_branch sigb ~taken:tr.Vm.taken
+     | Vm.T_indirect -> incr indirects; B.add_indirect sigb ~target:(Option.get tr.Vm.dst)
+     | Vm.T_call -> incr n_calls; incr calls
+     | Vm.T_return -> incr returns
+     | Vm.T_jump | Vm.T_exit -> ());
+    let matched = tr.Vm.kind = Vm.T_return && !calls > 0 in
+    if matched then decr calls;
+    let ended =
+      if tr.Vm.kind = Vm.T_exit then Some Path.Program_end
+      else if tr.Vm.backward then Some Path.Backward_transfer
+      else if matched then Some Path.Matched_return
+      else if tr.Vm.kind = Vm.T_branch && B.branch_count sigb = Signature.max_branches
+      then Some Path.Cap
+      else None
+    in
+    (match ended, tr.Vm.dst with
+     | None, Some d ->
+       if tr.Vm.kind = Vm.T_return then B.add_indirect sigb ~target:d;
+       blocks := d :: !blocks
+     | Some k, dst ->
+       complete k;
+       (match dst with
+        | None -> exited := true
+        | Some d ->
+          B.reset sigb ~head:d;
+          blocks := [ d ];
+          calls := 0;
+          arrival := if tr.Vm.backward then Path.Loop_head else Path.Continuation)
+     | None, None -> assert false);
+    if !n >= max_paths || !exited then raise Budget_spent
+  in
+  (try ignore (Vm.run ~max_steps vm ~on_transfer) with Budget_spent -> ());
+  let stats =
+    { Vm.reason = (if !exited then `Exited else `Fuel); blocks = !blocks_run;
+      branches = !branches; calls = !n_calls; returns = !returns;
+      indirects = !indirects; backward_transfers = !backward; max_stack = !max_stack }
+  in
+  ( Array.of_list (List.rev !instances),
+    Array.of_list (List.rev !arrivals),
+    Array.of_list (List.rev !paths),
+    stats )
+
+(* Same ids in first-seen order, arrivals, path table and VM stats. *)
+let agrees_with_reference ~max_steps ~max_paths program behavior ~seed =
+  let r =
+    Recorder.record ~max_steps ~max_paths program behavior ~rng:(Prng.create ~seed)
+  in
+  let instances, arrivals, paths, stats =
+    reference_record ~max_steps ~max_paths program behavior ~rng:(Prng.create ~seed)
+  in
+  r.Recorder.instances = instances
+  && Array.init (Recorder.num_instances r) (Recorder.arrival r) = arrivals
+  && Path_table.paths r.Recorder.table = paths
+  && r.Recorder.vm_stats = stats
+
+let prop_recorder_matches_reference =
+  QCheck.Test.make ~name:"Recorder.record agrees with the reference recorder"
+    ~count:60
+    QCheck.(pair arb_workload (option (int_range 1 400)))
+    (fun ((spec, seed), max_paths) ->
+       let program, behavior = Generator.build spec ~seed in
+       agrees_with_reference ~max_steps:15_000
+         ~max_paths:(Option.value max_paths ~default:max_int)
+         program behavior ~seed:(seed + 1))
+
+(* Fixed programs too: the hand-built fixtures (one crosses a forward
+   return, which puts the return target on the indirect list — a case
+   the random specs and the suite rarely reach) and every suite
+   benchmark at scale 0.05. *)
+let test_recorder_matches_reference_on_suite () =
+  let fixture name (program, behavior) =
+    Alcotest.(check bool) (name ^ " agrees") true
+      (agrees_with_reference ~max_steps:5_000 ~max_paths:max_int program behavior
+         ~seed:3)
+  in
+  let first (p, b, _) = (p, b) in
+  fixture "simple_loop" (first (Fixtures.simple_loop ()));
+  fixture "call_loop" (first (Fixtures.call_loop ()));
+  fixture "recursive" (first (Fixtures.recursive ()));
+  fixture "indirect_loop" (first (Fixtures.indirect_loop ()));
+  fixture "callee_loop" (first (Fixtures.callee_loop ()));
+  List.iter
+    (fun b ->
+       let i = Hotpath_workloads.Suite.inputs ~scale:0.05 b in
+       Alcotest.(check bool)
+         (b.Hotpath_workloads.Suite.b_name ^ " agrees")
+         true
+         (agrees_with_reference ~max_steps:i.Hotpath_workloads.Suite.i_max_steps
+            ~max_paths:i.Hotpath_workloads.Suite.i_max_paths
+            i.Hotpath_workloads.Suite.i_program i.Hotpath_workloads.Suite.i_behavior
+            ~seed:i.Hotpath_workloads.Suite.i_rng_seed))
+    Hotpath_workloads.Suite.all
+
 let prop_counter_space_ordering =
   QCheck.Test.make ~name:"NET counter space <= path-profile counter space"
     ~count:40 arb_workload
@@ -647,6 +786,9 @@ let suites =
       [
         QCheck_alcotest.to_alcotest prop_generated_programs_valid;
         QCheck_alcotest.to_alcotest prop_recording_partitions_blocks;
+        QCheck_alcotest.to_alcotest prop_recorder_matches_reference;
+        Alcotest.test_case "recorder agrees with the reference on fixed programs" `Quick
+          test_recorder_matches_reference_on_suite;
         QCheck_alcotest.to_alcotest prop_counter_space_ordering;
         QCheck_alcotest.to_alcotest prop_hits_bounded_by_hot_flow;
         QCheck_alcotest.to_alcotest prop_serialize_roundtrip;

@@ -10,16 +10,34 @@ module Signature = Hotpath_trace.Signature
 module Path = Hotpath_trace.Path
 module Prng = Hotpath_util.Prng
 
+(* A completed path as the segmenter describes it right after [feed]
+   returns [true]. *)
+type completed = {
+  c_signature : Signature.t;
+  c_blocks : Cfg.block_id array;
+  c_n_instrs : int;
+  c_n_branches : int;
+  c_end_kind : Path.end_kind;
+  c_arrival : Path.head_kind;
+}
+
+let completed_of (seg : Segmenter.t) =
+  {
+    c_signature = Segmenter.signature seg;
+    c_blocks = Segmenter.blocks seg;
+    c_n_instrs = seg.Segmenter.n_instrs;
+    c_n_branches = seg.Segmenter.n_branches;
+    c_end_kind = seg.Segmenter.end_kind;
+    c_arrival = seg.Segmenter.arrival;
+  }
+
 let drive program behavior ~seed ~max_steps =
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed) in
   let seg = Segmenter.create program in
   let completed = ref [] in
-  let _ =
-    Vm.run ~max_steps vm ~on_transfer:(fun tr ->
-        match Segmenter.feed seg tr with
-        | Some c -> completed := c :: !completed
-        | None -> ())
-  in
+  while Vm.blocks_executed vm < max_steps && Vm.step vm do
+    if Segmenter.feed seg vm then completed := completed_of seg :: !completed
+  done;
   (List.rev !completed, seg)
 
 let test_simple_loop_stream () =
@@ -28,14 +46,14 @@ let test_simple_loop_stream () =
   Alcotest.(check int) "three paths" 3 (List.length completed);
   (match completed with
    | [ p1; p2; p3 ] ->
-     Alcotest.(check (array int)) "entry" [| b0; b1; b2 |] p1.Segmenter.c_blocks;
-     Alcotest.(check bool) "entry arrival" true (p1.Segmenter.c_arrival = Path.Entry);
-     Alcotest.(check (array int)) "loop" [| b1; b2 |] p2.Segmenter.c_blocks;
+     Alcotest.(check (array int)) "entry" [| b0; b1; b2 |] p1.c_blocks;
+     Alcotest.(check bool) "entry arrival" true (p1.c_arrival = Path.Entry);
+     Alcotest.(check (array int)) "loop" [| b1; b2 |] p2.c_blocks;
      Alcotest.(check bool) "loop-head arrival" true
-       (p2.Segmenter.c_arrival = Path.Loop_head);
-     Alcotest.(check (array int)) "exit" [| b1; b2; b3 |] p3.Segmenter.c_blocks;
+       (p2.c_arrival = Path.Loop_head);
+     Alcotest.(check (array int)) "exit" [| b1; b2; b3 |] p3.c_blocks;
      Alcotest.(check bool) "program end" true
-       (p3.Segmenter.c_end_kind = Path.Program_end)
+       (p3.c_end_kind = Path.Program_end)
    | _ -> Alcotest.fail "unexpected stream")
 
 let test_instrs_and_branches_consistent () =
@@ -46,13 +64,13 @@ let test_instrs_and_branches_consistent () =
        let weight_sum =
          Array.fold_left
            (fun acc b -> acc + (Cfg.block program b).Cfg.weight)
-           0 c.Segmenter.c_blocks
+           0 c.c_blocks
        in
        Alcotest.(check int) "instrs = block weights" weight_sum
-         c.Segmenter.c_n_instrs;
+         c.c_n_instrs;
        Alcotest.(check int) "branches = signature length"
-         (Signature.length c.Segmenter.c_signature)
-         c.Segmenter.c_n_branches)
+         (Signature.length c.c_signature)
+         c.c_n_branches)
     completed
 
 let test_in_flight_blocks () =
@@ -61,27 +79,24 @@ let test_in_flight_blocks () =
   let seg = Segmenter.create program in
   Alcotest.(check int) "starts with the entry block" 1
     (Segmenter.in_flight_blocks seg);
-  (match Vm.step vm with
-   | Some tr -> ignore (Segmenter.feed seg tr)
-   | None -> Alcotest.fail "vm ended early");
+  if Vm.step vm then ignore (Segmenter.feed seg vm)
+  else Alcotest.fail "vm ended early";
   Alcotest.(check int) "grew" 2 (Segmenter.in_flight_blocks seg)
 
 let test_feed_after_exit_rejected () =
   let program, behavior, _ = Fixtures.simple_loop ~iterations:2 () in
   let vm = Vm.create program behavior ~rng:(Prng.create ~seed:1) in
   let seg = Segmenter.create program in
-  let last_transfer = ref None in
-  let _ =
-    Vm.run vm ~on_transfer:(fun tr ->
-        last_transfer := Some tr;
-        ignore (Segmenter.feed seg tr))
-  in
-  match !last_transfer with
-  | None -> Alcotest.fail "no transfers"
-  | Some tr ->
+  let steps = ref 0 in
+  while Vm.step vm do
+    incr steps;
+    ignore (Segmenter.feed seg vm)
+  done;
+  if !steps = 0 then Alcotest.fail "no transfers"
+  else
     Alcotest.check_raises "feed after exit"
       (Invalid_argument "Segmenter.feed: program already exited") (fun () ->
-        ignore (Segmenter.feed seg tr))
+        ignore (Segmenter.feed seg vm))
 
 let test_crossed_return_target_in_signature () =
   (* Same shape as the recorder test: the path crossing the unmatched
@@ -107,9 +122,9 @@ let test_crossed_return_target_in_signature () =
   let completed, _ = drive program behavior ~seed:1 ~max_steps:1_000 in
   let last = List.nth completed (List.length completed - 1) in
   Alcotest.(check (array int)) "crosses the return" [| b1; b2; b3; b4; b5 |]
-    last.Segmenter.c_blocks;
+    last.c_blocks;
   Alcotest.(check (list int)) "return target recorded as indirect" [ b4 ]
-    (Signature.indirect_targets last.Segmenter.c_signature)
+    (Signature.indirect_targets last.c_signature)
 
 (* ------------------------------------------------------------------ *)
 (* Remaining VM behaviour models                                       *)

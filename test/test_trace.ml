@@ -335,6 +335,41 @@ let test_path_table_interning () =
   Alcotest.check_raises "unknown id" (Invalid_argument "Path_table.path: unknown id 99")
     (fun () -> ignore (Path_table.path table 99))
 
+(* Two signatures whose keys collide — same head, length, bits and
+   indirect-target hash — must still intern as two paths: a key match is
+   confirmed on the full indirect-target list.  Thousands more force the
+   slot array to grow and rehash. *)
+let test_path_table_key_collision () =
+  let table = Path_table.create () in
+  let mk indirects = Signature.make ~head:4 ~length:0 ~bits:0 ~indirects in
+  let a = mk [ 0; 31 ] and b = mk [ 1; 0 ] in
+  Alcotest.(check int) "keys collide"
+    (Signature.hash_key ~head:4 ~length:0 ~bits:0
+       ~indirect_hash:(Signature.indirect_hash a))
+    (Signature.hash_key ~head:4 ~length:0 ~bits:0
+       ~indirect_hash:(Signature.indirect_hash b));
+  let intern s =
+    Path_table.intern table s ~blocks:[| 4; 5 |] ~n_instrs:2 ~n_branches:0
+      ~end_kind:Path.Backward_transfer
+  in
+  Alcotest.(check int) "first" 0 (intern a);
+  Alcotest.(check int) "second is new" 1 (intern b);
+  Alcotest.(check int) "first again" 0 (intern a);
+  for i = 0 to 4_999 do
+    ignore
+      (Path_table.intern table
+         (Signature.make ~head:(i mod 7) ~length:13 ~bits:i ~indirects:[])
+         ~blocks:[| i mod 7 |] ~n_instrs:1 ~n_branches:13 ~end_kind:Path.Cap)
+  done;
+  Alcotest.(check int) "size" 5_002 (Path_table.size table);
+  Alcotest.(check (option int)) "a after growth" (Some 0) (Path_table.find table a);
+  Alcotest.(check (option int)) "b after growth" (Some 1) (Path_table.find table b);
+  Path_table.iter
+    (fun p ->
+       Alcotest.(check (option int)) "every path found" (Some p.Path.id)
+         (Path_table.find table p.Path.signature))
+    table
+
 let test_path_divergence () =
   let mk blocks =
     let b = Signature.Builder.create ~head:blocks.(0) in
@@ -394,6 +429,7 @@ let suites =
     ( "trace.path_table",
       [
         Alcotest.test_case "interning" `Quick test_path_table_interning;
+        Alcotest.test_case "key collision" `Quick test_path_table_key_collision;
         Alcotest.test_case "divergence" `Quick test_path_divergence;
         Alcotest.test_case "unique heads" `Quick test_unique_heads;
       ] );

@@ -34,7 +34,7 @@ let test_branch_outcomes_recorded () =
     List.filter_map
       (fun tr ->
          match tr.Vm.kind with
-         | Vm.T_branch { taken } -> Some (tr.Vm.src, taken, tr.Vm.dst, tr.Vm.backward)
+         | Vm.T_branch -> Some (tr.Vm.src, tr.Vm.taken, tr.Vm.dst, tr.Vm.backward)
          | _ -> None)
       transfers
   in
@@ -175,7 +175,7 @@ let test_correlated_model_uses_history () =
   let _ =
     Vm.run ~max_steps:40 vm ~on_transfer:(fun tr ->
         match tr.Vm.kind with
-        | Vm.T_branch { taken } -> outcomes := taken :: !outcomes
+        | Vm.T_branch -> outcomes := tr.Vm.taken :: !outcomes
         | _ -> ())
   in
   (* History starts at 0 -> taken, then not taken, then program exits. *)

@@ -88,7 +88,7 @@ let test_generator_micro_loop_periodicity () =
   let _ =
     Vm.run ~max_steps:4_000 vm ~on_transfer:(fun tr ->
         match tr.Vm.kind with
-        | Vm.T_branch _ when (Cfg.block program tr.Vm.src).Cfg.proc <> 0 ->
+        | Vm.T_branch when (Cfg.block program tr.Vm.src).Cfg.proc <> 0 ->
           incr total_branches;
           if tr.Vm.backward then incr backward_branches
         | _ -> ())
@@ -142,7 +142,8 @@ let test_generator_phase_flip_changes_behavior () =
     Vm.run ~max_steps:20_000 vm ~on_transfer:(fun tr ->
         incr steps;
         match tr.Vm.kind with
-        | Vm.T_branch { taken } when not tr.Vm.backward -> begin
+        | Vm.T_branch when not tr.Vm.backward -> begin
+            let taken = tr.Vm.taken in
             (* Identify the diamond branch: a forward conditional whose two
                targets differ (the latch's forward side exits the loop and
                is rare under iterations=1000). *)
